@@ -10,7 +10,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,16 +54,40 @@ class LaplacianBasis:
 
     ``kind = "power"`` stores raw Laplacian powers L^a (so B_0 = I and
     B_a = B_{a-1} B_1); ``kind = "chebyshev"`` stores Chebyshev polynomials
-    T_a(L - I) of the rescaled Laplacian.
+    T_a(L - I) of the rescaled Laplacian.  Either way B_0 = I, which the
+    convolution applies as a copy.
+
+    The non-identity terms are also held as the row stack
+    ``[B_1; ...; B_K]`` (K*V x V) and the column stack ``[B_1 ... B_K]``
+    (V x K*V), so one matrix product propagates a whole batch over all
+    degrees.  ``powers[1:]`` are views into the row stack; every array is
+    read-only.
     """
 
     powers: tuple
     degree: int
     kind: str = POWER_BASIS
+    row_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    col_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.powers) != self.degree + 1:
             raise ValueError("basis must hold degree + 1 matrices")
+        mats = [np.asarray(p, dtype=float) for p in self.powers]
+        n = mats[0].shape[0]
+        if any(p.shape != (n, n) for p in mats):
+            raise ValueError("basis matrices must all be square of one size")
+        identity = np.eye(n)
+        if not np.array_equal(mats[0], identity):
+            raise ValueError("basis term B_0 must be the identity")
+        terms = np.array(mats[1:]).reshape(self.degree, n, n)
+        row_stack = terms.reshape(self.degree * n, n)
+        col_stack = terms.transpose(1, 0, 2).reshape(n, self.degree * n)
+        for arr in (terms, row_stack, col_stack, identity):
+            arr.setflags(write=False)
+        object.__setattr__(self, "powers", (identity,) + tuple(terms))
+        object.__setattr__(self, "row_stack", row_stack)
+        object.__setattr__(self, "col_stack", col_stack)
 
 
 def build_neighborhood(grid_rows: int, grid_cols: int) -> RelationGraph:

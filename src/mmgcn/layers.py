@@ -186,137 +186,170 @@ def pack_grads(grads) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# forward / backward cores (leading batch axis everywhere)
+# forward / backward cores
+#
+# Activations are vertex-major, (M, V, B, f): modality i's whole batch is one
+# contiguous (V, B*f) matrix, so propagating it over every degree of its
+# basis is one product with the basis's row or column stack.  Both layer
+# kinds are a per-source polynomial convolution sum_a B_a H W_a with the
+# source's weights as (K+1, f1, g): a GGCN source feeds all M targets
+# (g = M*f2), an MRGCN source only its own (g = f2).
 
-def _stacked_powers(basis: LaplacianBasis) -> np.ndarray:
-    return np.stack(basis.powers)
+def _propagates_input(f1: int, g: int) -> bool:
+    """Propagate the input and then contract when it is no wider than the
+    contracted output; otherwise contract first and propagate the output.
+    Either way the K*V x V stacks multiply the narrower side."""
+    return f1 <= g
 
 
-def _apply_powers(powers: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # (K+1, V, V) applied to (B, V, f) -> (K+1, B, V, f)
-    return np.matmul(powers[:, None], h[None])
+def _conv_forward(h: np.ndarray, basis: LaplacianBasis, w: np.ndarray):
+    """sum_a B_a h w[a] for vertex-major h (V, B, f1) and w (K+1, f1, g).
+
+    Returns the (V, B, g) result and the operand its backward pass needs:
+    the propagated input (K+1, V*B, f1), or the input itself (V*B, f1).
+    """
+    v, b, f1 = h.shape
+    kp1, g = w.shape[0], w.shape[2]
+    if _propagates_input(f1, g):
+        p = np.empty((kp1, v * b, f1))
+        p[0] = h.reshape(v * b, f1)
+        np.matmul(basis.row_stack, h.reshape(v, b * f1),
+                  out=p[1:].reshape((kp1 - 1) * v, b * f1))
+        return np.tensordot(p, w, axes=([0, 2], [0, 1])).reshape(v, b, g), p
+    h_flat = h.reshape(v * b, f1)
+    q = np.matmul(h_flat, w)  # (K+1, V*B, g)
+    z = basis.col_stack @ q[1:].reshape((kp1 - 1) * v, b * g)
+    z += q[0].reshape(v, b * g)
+    return z.reshape(v, b, g), h_flat
 
 
-def _add_bias(z: np.ndarray, biases: np.ndarray) -> np.ndarray:
-    if biases.ndim == 2:  # (M, f2) broadcast across vertices
-        return z + biases[:, None, None, :]
-    return z + biases[:, None, :, :]  # (M, V, f2)
+def _conv_backward(dz: np.ndarray, operand: np.ndarray, basis: LaplacianBasis,
+                   w: np.ndarray, need_dh: bool):
+    """Gradients of :func:`_conv_forward` for the (V, B, g) output gradient:
+    ``dw`` (K+1, f1, g) and ``dh`` (V, B, f1), or None unless ``need_dh``.
+    The transposed basis stacks carry the gradient back over the graph."""
+    v, b, g = dz.shape
+    kp1, f1 = w.shape[0], w.shape[1]
+    dz_flat = dz.reshape(v * b, g)
+    if _propagates_input(f1, g):
+        dw = np.matmul(operand.transpose(0, 2, 1), dz_flat)
+        if not need_dh:
+            return dw, None
+        dp = np.matmul(dz_flat, w.transpose(0, 2, 1))  # (K+1, V*B, f1)
+        dh = basis.row_stack.T @ dp[1:].reshape((kp1 - 1) * v, b * f1)
+        dh += dp[0].reshape(v, b * f1)
+        return dw, dh.reshape(v, b, f1)
+    dq = np.empty((kp1, v * b, g))
+    dq[0] = dz_flat
+    np.matmul(basis.col_stack.T, dz.reshape(v, b * g),
+              out=dq[1:].reshape((kp1 - 1) * v, b * g))
+    dw = np.matmul(operand.T, dq)
+    if not need_dh:
+        return dw, None
+    return dw, np.tensordot(dq, w, axes=([0, 2], [0, 2])).reshape(v, b, f1)
+
+
+def _source_view(weights: np.ndarray, i: int) -> np.ndarray:
+    """View of the weights acting on source modality i, degree first:
+    (K+1, f1, M, f2) of a GGCN tensor (M, M, K+1, f1, f2), (K+1, f1, f2) of
+    an MRGCN tensor (f1, f2, K+1, M)."""
+    if weights.ndim == 5:
+        return weights[i].transpose(1, 2, 0, 3)
+    return weights[:, :, :, i].transpose(2, 0, 1)
+
+
+def _bias_view(biases: np.ndarray) -> np.ndarray:
+    # (M, f2) broadcasts across vertices, (M, V, f2) is per vertex; both
+    # broadcast across the batch axis of (M, V, B, f2)
+    return biases[:, None, None, :] if biases.ndim == 2 else biases[:, :, None, :]
 
 
 def _bias_grad(dz: np.ndarray, biases: np.ndarray) -> np.ndarray:
-    if biases.ndim == 2:
-        return dz.sum(axis=(1, 2))
-    return dz.sum(axis=1)
+    return dz.sum(axis=(1, 2)) if biases.ndim == 2 else dz.sum(axis=2)
 
 
-def _activate(z: np.ndarray, activation: str):
-    if activation == RELU:
-        out = np.maximum(z, 0.0)
-        return out, z > 0.0
-    return z, None
-
-
-def _ggcn_forward(h, power_stacks, layer: GgcnLayerParams, activation: str):
-    m, b, v, f1 = h.shape
-    kp1, f2 = layer.weights.shape[2], layer.weights.shape[4]
-    p = np.stack([_apply_powers(power_stacks[i], h[i]) for i in range(m)])
-    p_mat = np.ascontiguousarray(p.transpose(2, 3, 0, 1, 4)).reshape(b, v, m * kp1 * f1)
-    w_mat = np.ascontiguousarray(layer.weights.transpose(0, 2, 3, 1, 4)).reshape(
-        m * kp1 * f1, m * f2
-    )
-    z = np.ascontiguousarray((p_mat @ w_mat).reshape(b, v, m, f2).transpose(2, 0, 1, 3))
-    z = _add_bias(z, layer.biases)
-    out, mask = _activate(z, activation)
-    return out, (p_mat, w_mat, mask, (m, b, v, f1, kp1, f2))
-
-
-def _ggcn_backward(d_out, cache, power_stacks, layer: GgcnLayerParams):
-    p_mat, w_mat, mask, (m, b, v, f1, kp1, f2) = cache
-    dz = d_out * mask if mask is not None else d_out
-    d_biases = _bias_grad(dz, layer.biases)
-    dz_flat = np.ascontiguousarray(dz.transpose(1, 2, 0, 3)).reshape(b, v, m * f2)
-    dw_mat = np.tensordot(p_mat, dz_flat, axes=([0, 1], [0, 1]))
-    d_weights = np.ascontiguousarray(
-        dw_mat.reshape(m, kp1, f1, m, f2).transpose(0, 3, 1, 2, 4)
-    )
-    dp = (dz_flat @ w_mat.T).reshape(b, v, m, kp1, f1).transpose(2, 3, 0, 1, 4)
-    dh = np.stack(
-        [
-            np.matmul(power_stacks[i].transpose(0, 2, 1)[:, None], dp[i]).sum(axis=0)
-            for i in range(m)
-        ]
-    )
-    return dh, LayerGrads(d_weights, d_biases)
-
-
-def _mrgcn_weight_mat(weights: np.ndarray, j: int) -> np.ndarray:
-    # (f1, f2, K+1) slice for modality j, flattened to ((K+1) * f1, f2)
-    f1, f2, kp1 = weights.shape[0], weights.shape[1], weights.shape[2]
-    return np.ascontiguousarray(weights[:, :, :, j].transpose(2, 0, 1)).reshape(kp1 * f1, f2)
-
-
-def _mrgcn_forward(h, power_stacks, layer: MrgcnLayerParams, activation: str):
-    m, b, v, f1 = h.shape
-    kp1, f2 = layer.weights.shape[2], layer.weights.shape[1]
-    p_mats = []
+def _layer_forward(h, bases, layer, activation: str, keep_cache: bool):
+    """One layer on vertex-major h (M, V, B, f1); returns its (M, V, B, f2)
+    output and, if ``keep_cache``, what the backward pass needs."""
+    m, v, b, _ = h.shape
+    mixes = isinstance(layer, GgcnLayerParams)
+    z = None
     outs = []
-    for j in range(m):
-        pj = _apply_powers(power_stacks[j], h[j])
-        pj_mat = np.ascontiguousarray(pj.transpose(1, 2, 0, 3)).reshape(b, v, kp1 * f1)
-        p_mats.append(pj_mat)
-        outs.append(pj_mat @ _mrgcn_weight_mat(layer.weights, j))
-    z = _add_bias(np.stack(outs), layer.biases)
-    out, mask = _activate(z, activation)
-    return out, (p_mats, mask, (m, b, v, f1, kp1, f2))
+    sources = []
+    for i in range(m):
+        view = _source_view(layer.weights, i)
+        w = view.reshape(view.shape[0], view.shape[1], -1)
+        zi, operand = _conv_forward(h[i], bases[i], w)
+        sources.append((w, operand) if keep_cache else None)
+        if not mixes:
+            outs.append(zi)
+        elif z is None:
+            z = zi
+        else:
+            z += zi
+    if mixes:
+        z = np.ascontiguousarray(z.reshape(v, b, m, -1).transpose(2, 0, 1, 3))
+    else:
+        z = np.stack(outs)
+    z += _bias_view(layer.biases)
+    mask = z > 0.0 if activation == RELU and keep_cache else None
+    if activation == RELU:
+        np.maximum(z, 0.0, out=z)
+    return z, ((sources, mask) if keep_cache else None)
 
 
-def _mrgcn_backward(d_out, cache, power_stacks, layer: MrgcnLayerParams):
-    p_mats, mask, (m, b, v, f1, kp1, f2) = cache
+def _layer_backward(d_out, cache, bases, layer, need_dh: bool):
+    """Backward of :func:`_layer_forward`: the (M, V, B, f1) input gradient,
+    or None unless ``need_dh``, and the layer's parameter gradients."""
+    sources, mask = cache
     dz = d_out * mask if mask is not None else d_out
     d_biases = _bias_grad(dz, layer.biases)
-    d_weights = np.zeros_like(layer.weights)
-    dh = np.empty((m, b, v, f1))
-    for j in range(m):
-        dwj = np.tensordot(p_mats[j], dz[j], axes=([0, 1], [0, 1]))
-        d_weights[:, :, :, j] = dwj.reshape(kp1, f1, f2).transpose(1, 2, 0)
-        dpj = (dz[j] @ _mrgcn_weight_mat(layer.weights, j).T).reshape(b, v, kp1, f1)
-        dpj = dpj.transpose(2, 0, 1, 3)
-        dh[j] = np.matmul(power_stacks[j].transpose(0, 2, 1)[:, None], dpj).sum(axis=0)
+    m, v, b, _ = dz.shape
+    if isinstance(layer, GgcnLayerParams):
+        dz_all = np.ascontiguousarray(dz.transpose(1, 2, 0, 3)).reshape(v, b, -1)
+        dz_sources = [dz_all] * m
+    else:
+        dz_sources = dz
+    d_weights = np.empty_like(layer.weights)
+    dh = np.empty((m, v, b, sources[0][0].shape[1])) if need_dh else None
+    for i, (w, operand) in enumerate(sources):
+        dw, dh_i = _conv_backward(dz_sources[i], operand, bases[i], w, need_dh)
+        view = _source_view(d_weights, i)
+        view[...] = dw.reshape(view.shape)
+        if need_dh:
+            dh[i] = dh_i
     return dh, LayerGrads(d_weights, d_biases)
 
 
-def _forward_batch(x_batch, power_stacks, params: NetworkParams, keep_caches=False):
-    """Run the stack on (B, V, T) inputs; returns (B, V) predictions."""
+def _forward_batch(x_batch, bases, params: NetworkParams, keep_caches=False,
+                   keep_hidden=False):
+    """Run the stack on (B, V, T) inputs; returns (B, V) predictions plus
+    the per-layer caches and vertex-major outputs, each list empty unless
+    asked for."""
     m = params.config.modalities
-    h = np.broadcast_to(x_batch, (m,) + x_batch.shape)
+    x = np.ascontiguousarray(np.transpose(x_batch, (1, 0, 2)), dtype=float)
+    h = np.broadcast_to(x, (m,) + x.shape)
     caches = []
     hidden = []
     for spec, layer in zip(params.config.layer_specs, params.layers):
-        if spec.kind == GGCN:
-            h, cache = _ggcn_forward(h, power_stacks, layer, spec.activation)
-        else:
-            h, cache = _mrgcn_forward(h, power_stacks, layer, spec.activation)
-        caches.append(cache if keep_caches else None)
-        hidden.append(h)
-    pred = h[:, :, :, 0].mean(axis=0)
+        h, cache = _layer_forward(h, bases, layer, spec.activation, keep_caches)
+        if keep_caches:
+            caches.append(cache)
+        if keep_hidden:
+            hidden.append(h)
+    pred = np.ascontiguousarray(h[:, :, :, 0].mean(axis=0).T)
     return pred, caches, hidden
 
 
-def _backward_batch(d_pred, caches, power_stacks, params: NetworkParams):
+def _backward_batch(d_pred, caches, bases, params: NetworkParams):
     m = params.config.modalities
-    dh = np.broadcast_to(d_pred[None, :, :, None] / m, (m,) + d_pred.shape + (1,))
+    b, v = d_pred.shape
+    dh = np.broadcast_to((d_pred.T / m)[None, :, :, None], (m, v, b, 1))
     grads = [None] * len(params.layers)
     for idx in range(len(params.layers) - 1, -1, -1):
-        spec, layer = params.config.layer_specs[idx], params.layers[idx]
-        if spec.kind == GGCN:
-            dh, grads[idx] = _ggcn_backward(dh, caches[idx], power_stacks, layer)
-        else:
-            dh, grads[idx] = _mrgcn_backward(dh, caches[idx], power_stacks, layer)
+        # layer 0's input gradient would only reach the data: not computed
+        dh, grads[idx] = _layer_backward(dh, caches[idx], bases, params.layers[idx], idx > 0)
     return grads
-
-
-def _power_stacks(bases) -> list:
-    return [_stacked_powers(basis) for basis in bases]
 
 
 def batch_loss(x_batch, y_batch, bases, params: NetworkParams, reg: RegularizerConfig,
@@ -329,8 +362,7 @@ def batch_loss(x_batch, y_batch, bases, params: NetworkParams, reg: RegularizerC
     """
     if x_batch.shape[0] == 0:
         raise ValueError("batch must be nonempty")
-    stacks = _power_stacks(bases)
-    pred, caches, _ = _forward_batch(x_batch, stacks, params, keep_caches=with_grads)
+    pred, caches, _ = _forward_batch(x_batch, bases, params, keep_caches=with_grads)
     residual = pred - y_batch
     mse = float(np.mean(residual**2))
     j0 = float(np.sqrt(mse + LOSS_SMOOTHING))
@@ -338,7 +370,7 @@ def batch_loss(x_batch, y_batch, bases, params: NetworkParams, reg: RegularizerC
     grads = None
     if with_grads:
         d_pred = residual / (residual.size * j0)
-        grads = _backward_batch(d_pred, caches, stacks, params)
+        grads = _backward_batch(d_pred, caches, bases, params)
     for spec, layer, idx in zip(params.config.layer_specs, params.layers, range(len(params.layers))):
         if spec.kind == GGCN and reg.alpha_low > 0.0:
             block_loss, block_grad = group_lasso(layer.weights, reg.alpha_intra)
@@ -356,11 +388,10 @@ def batch_loss(x_batch, y_batch, bases, params: NetworkParams, reg: RegularizerC
 def predict_batches(samples, bases, params: NetworkParams, chunk_size: int = 256) -> np.ndarray:
     """(N, V) predictions, chunked so training-time and restored-checkpoint
     evaluation reduce in the same floating-point order."""
-    stacks = _power_stacks(bases)
     preds = []
     for start in range(0, len(samples), chunk_size):
         x_batch = np.stack([s.input for s in samples[start : start + chunk_size]])
-        pred, _, _ = _forward_batch(x_batch, stacks, params)
+        pred, _, _ = _forward_batch(x_batch, bases, params)
         preds.append(pred)
     return np.concatenate(preds, axis=0)
 
@@ -386,11 +417,14 @@ def cheb_conv(x: np.ndarray, basis: LaplacianBasis, weights: np.ndarray) -> np.n
     return out
 
 
-def _check_modalities(xs, bases, count):
+def _single_window_layer(xs, bases, layer, activation: str, count: int):
     if len(xs) != count or len(bases) != count:
         raise ValueError(
             f"expected {count} modalities, got {len(xs)} inputs and {len(bases)} bases"
         )
+    h = np.stack([np.asarray(x, dtype=float) for x in xs])[:, :, None, :]  # batch of 1
+    out, _ = _layer_forward(h, bases, layer, activation, keep_cache=False)
+    return [out[j, :, 0] for j in range(count)]
 
 
 def ggcn_forward(xs, bases, params: GgcnLayerParams, activation: str = RELU):
@@ -399,20 +433,12 @@ def ggcn_forward(xs, bases, params: GgcnLayerParams, activation: str = RELU):
     Modality j's output sums convolutions of every modality i's input over
     graph i, so information travels along compound connectivity.
     """
-    m = params.weights.shape[0]
-    _check_modalities(xs, bases, m)
-    h = np.stack([np.asarray(x, dtype=float) for x in xs])[:, None]  # batch of 1
-    out, _ = _ggcn_forward(h, _power_stacks(bases), params, activation)
-    return [out[j, 0] for j in range(m)]
+    return _single_window_layer(xs, bases, params, activation, params.weights.shape[0])
 
 
 def mrgcn_forward(xs, bases, params: MrgcnLayerParams, activation: str = RELU):
     """One intra-modality layer: modality j sees only its own graph and weights."""
-    m = params.weights.shape[3]
-    _check_modalities(xs, bases, m)
-    h = np.stack([np.asarray(x, dtype=float) for x in xs])[:, None]
-    out, _ = _mrgcn_forward(h, _power_stacks(bases), params, activation)
-    return [out[j, 0] for j in range(m)]
+    return _single_window_layer(xs, bases, params, activation, params.weights.shape[3])
 
 
 def fusion_forward(xs) -> np.ndarray:
@@ -432,14 +458,14 @@ def network_forward(x_window: np.ndarray, bases, params: NetworkParams) -> np.nd
             f"input shape {x_window.shape} does not match first-layer dim "
             f"{params.config.layer_specs[0].in_dim}"
         )
-    pred, _, _ = _forward_batch(x_window[None], _power_stacks(bases), params)
+    pred, _, _ = _forward_batch(x_window[None], bases, params)
     return pred[0][:, None]
 
 
 def network_forward_hidden(x_batch: np.ndarray, bases, params: NetworkParams):
     """Predictions plus each layer's post-activation features (M, B, V, f)."""
-    pred, _, hidden = _forward_batch(x_batch, _power_stacks(bases), params)
-    return pred, hidden
+    pred, _, hidden = _forward_batch(x_batch, bases, params, keep_hidden=True)
+    return pred, [h.transpose(0, 2, 1, 3) for h in hidden]
 
 
 def network_gradients(batch, bases, params: NetworkParams, reg: RegularizerConfig):

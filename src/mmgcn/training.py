@@ -4,6 +4,7 @@ re-estimation, plus checkpointing that restores bit-exactly."""
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -192,6 +193,12 @@ def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig,
                 ) from exc
         train_rmse = _evaluate(train_samples, bases, state.params)
         val_rmse = _evaluate(val_samples, bases, state.params)
+        if not (np.isfinite(train_rmse) and np.isfinite(val_rmse)):
+            # a NaN never compares below the best and would pass for "no improvement"
+            raise NumericalFailure(
+                f"epoch {epoch}: non-finite evaluation "
+                f"(train_rmse={train_rmse!r}, val_rmse={val_rmse!r})"
+            )
         history.append(HistoryRow(epoch, train_rmse, val_rmse))
         snapshots.append(
             [
@@ -264,7 +271,8 @@ def _checkpoint_tensors(state: TrainState):
 
 
 def save_checkpoint(out_dir, state: TrainState, frozen_modes) -> None:
-    """JSON manifest plus one little-endian float64 blob, canonical layout."""
+    """JSON manifest plus one little-endian float64 blob, canonical layout.
+    Neither file is overwritten until both are fully written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tensors = _checkpoint_tensors(state)
@@ -289,8 +297,27 @@ def save_checkpoint(out_dir, state: TrainState, frozen_modes) -> None:
         },
         "rng_state": json.loads(json.dumps(state.rng.bit_generator.state)),
     }
-    (out / "checkpoint.bin").write_bytes(bytes(blob))
-    (out / "checkpoint.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _replace_files([
+        (out / "checkpoint.bin", bytes(blob)),
+        (out / "checkpoint.json", (json.dumps(manifest, indent=2) + "\n").encode()),
+    ])
+
+
+def _replace_files(files) -> None:
+    """Write every (path, bytes) pair to a temporary file beside its target,
+    then rename each into place with ``os.replace``, in order.  A failed
+    write leaves every target as it was; only a crash between two renames
+    can leave a new file beside an old one."""
+    temps = []
+    try:
+        for path, data in files:
+            temps.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
+            temps[-1].write_bytes(data)
+        for (path, _), temp in zip(files, temps):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
 
 
 def load_checkpoint(out_dir) -> TrainState:

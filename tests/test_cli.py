@@ -95,6 +95,25 @@ class TestTrain:
             histories[variant] = runs[0]
         assert histories["MGCN"] != histories["GGCN_only"]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_evaluation_exits_3(self, workspace, tmp_path, capsys):
+        # One full-batch Adam step at lr 1e300 moves every weight by about
+        # 1e300, so the first evaluation overflows to a non-finite RMSE
+        # before any later gradient could be checked.
+        cfg = write_json(tmp_path / "r.json", {
+            "manifest": str(workspace["data"] / "manifest.json"),
+            "variant": "MGCN",
+            "network": {"output_dims": [4, 1], "cheb_degree": 2},
+            "train": {"learning_rate": 1e300, "batch_size": 100000, "max_epochs": 3,
+                      "seed": 0},
+        })
+        out = tmp_path / "run"
+        assert dispatch(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "epoch 0: non-finite evaluation" in err
+        assert not (out / "history.csv").exists()
+
 
 class TestEvaluate:
     def test_matches_recorded_best(self, workspace):

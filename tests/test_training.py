@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,21 @@ class TestTrain:
         power = T.train(splits, ds.graphs, small_net(), cfg)
         assert a.history != power.history
 
+    def test_non_finite_evaluation_raises(self, monkeypatch):
+        ds, splits = tiny_dataset()
+        real = L.predict_batches
+        calls = []
+
+        def nan_on_second_epoch(samples, bases, params, chunk_size):
+            calls.append(1)
+            preds = real(samples, bases, params, chunk_size)
+            return preds * np.nan if len(calls) > 2 else preds
+
+        monkeypatch.setattr(L, "predict_batches", nan_on_second_epoch)
+        cfg = T.TrainConfig(learning_rate=1e-2, max_epochs=5, seed=0)
+        with pytest.raises(NumericalFailure, match="epoch 1: non-finite evaluation"):
+            T.train(splits, ds.graphs, small_net(), cfg)
+
     def test_empty_split_rejected(self):
         ds, splits = tiny_dataset()
         with pytest.raises(ValueError):
@@ -273,6 +290,35 @@ class TestCheckpoint:
             if isinstance(orig, L.MrgcnLayerParams):
                 for s_a, s_b in zip(orig.covariances.sigma, back.covariances.sigma):
                     np.testing.assert_array_equal(s_a, s_b)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        ds, splits = tiny_dataset()
+        cfg = T.TrainConfig(learning_rate=1e-2, max_epochs=1, seed=2)
+        first = T.train(splits, ds.graphs, small_net(), cfg).state
+        T.save_checkpoint(tmp_path, first, cfg.reg.frozen_modes)
+        cfg.max_epochs = 2
+        second = T.train(splits, ds.graphs, small_net(), cfg).state
+        assert second.step != first.step
+
+        real_write = Path.write_bytes
+
+        def fail_on_index(path, data):
+            # the blob is written in full, then the index write fails
+            if path.name.startswith(".checkpoint.json"):
+                raise OSError("no space left on device")
+            return real_write(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", fail_on_index)
+        with pytest.raises(OSError, match="no space"):
+            T.save_checkpoint(tmp_path, second, cfg.reg.frozen_modes)
+        monkeypatch.undo()
+
+        restored = T.load_checkpoint(tmp_path)
+        np.testing.assert_array_equal(
+            L.pack_params(restored.params), L.pack_params(first.params)
+        )
+        assert restored.step == first.step
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin", "checkpoint.json"]
 
     def test_restored_evaluation_matches(self, tmp_path):
         from mmgcn.graphs import graph_bases
