@@ -353,18 +353,23 @@ def _backward_batch(d_pred, caches, bases, params: NetworkParams):
 
 
 def batch_loss(x_batch, y_batch, bases, params: NetworkParams, reg: RegularizerConfig,
-               with_grads: bool):
+               with_grads: bool, *, sq_errors: list | None = None):
     """Total objective on one batch: smoothed batch RMSE plus the two
     regularizers, each summed over the layers of its family.
 
     Returns (loss, grads or None).  Covariances are held constant, so they
-    appear in the gradient only through the fixed mode-product image.
+    appear in the gradient only through the fixed mode-product image.  When
+    ``sq_errors`` is given, the batch's sum of squared residuals is appended
+    to it.
     """
     if x_batch.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     pred, caches, _ = _forward_batch(x_batch, bases, params, keep_caches=with_grads)
     residual = pred - y_batch
-    mse = float(np.mean(residual**2))
+    sq_sum = float(np.sum(residual**2))
+    if sq_errors is not None:
+        sq_errors.append(sq_sum)
+    mse = sq_sum / residual.size  # the same float as np.mean(residual**2)
     j0 = float(np.sqrt(mse + LOSS_SMOOTHING))
     loss = j0
     grads = None

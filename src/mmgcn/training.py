@@ -3,6 +3,7 @@ re-estimation, plus checkpointing that restores bit-exactly."""
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import dataclass, field
@@ -143,7 +144,7 @@ def _snapshot_optimizer(state: TrainState):
         [m.copy() for m in state.first_moment],
         [v.copy() for v in state.second_moment],
         state.step,
-        json.loads(json.dumps(state.rng.bit_generator.state)),
+        copy.deepcopy(state.rng.bit_generator.state),
     )
 
 
@@ -160,7 +161,11 @@ def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig,
           basis_kind: str = POWER_BASIS) -> TrainResult:
     """Mini-batch loop: seeded shuffle per epoch, Adam on the total objective,
     covariance re-estimation every ``cov_update_every`` batches, and early
-    stopping that returns the parameters with the best validation RMSE."""
+    stopping that returns the parameters with the best validation RMSE.
+
+    An epoch's ``train_rmse`` is pooled over the predictions its training
+    steps make, each with the parameters in place before that batch's
+    update; only the validation split is evaluated after the epoch."""
     train_samples, val_samples = dataset_splits["train"], dataset_splits["val"]
     if not train_samples or not val_samples:
         raise ValueError("train and validation splits must be nonempty")
@@ -176,12 +181,13 @@ def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig,
     batch_counter = 0
     for epoch in range(cfg.max_epochs):
         order = state.rng.permutation(len(train_samples))
+        sq_errors = []
         for start in range(0, len(train_samples), cfg.batch_size):
             picked = order[start : start + cfg.batch_size]
             try:
                 _, grads = L.batch_loss(
                     inputs[picked], targets[picked], bases, state.params, cfg.reg,
-                    with_grads=True,
+                    with_grads=True, sq_errors=sq_errors,
                 )
                 adam_step(state, grads, cfg)
                 batch_counter += 1
@@ -191,7 +197,7 @@ def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig,
                 raise NumericalFailure(
                     f"epoch {epoch}, batch {start // cfg.batch_size}: {exc}"
                 ) from exc
-        train_rmse = _evaluate(train_samples, bases, state.params)
+        train_rmse = float(np.sqrt(sum(sq_errors) / targets.size))
         val_rmse = _evaluate(val_samples, bases, state.params)
         if not (np.isfinite(train_rmse) and np.isfinite(val_rmse)):
             # a NaN never compares below the best and would pass for "no improvement"
@@ -295,7 +301,7 @@ def save_checkpoint(out_dir, state: TrainState, frozen_modes) -> None:
             "best_epoch": state.best_epoch,
             "epochs_since_improvement": state.epochs_since_improvement,
         },
-        "rng_state": json.loads(json.dumps(state.rng.bit_generator.state)),
+        "rng_state": state.rng.bit_generator.state,
     }
     _replace_files([
         (out / "checkpoint.bin", bytes(blob)),
@@ -320,7 +326,51 @@ def _replace_files(files) -> None:
             temp.unlink(missing_ok=True)
 
 
+def _read_tensors(index, blob: bytes, expected: dict) -> dict:
+    """Tensors of ``blob`` by name, after checking the index against the
+    expected ``{name: shape}`` and the canonical back-to-back layout."""
+    seen = set()
+    for entry in index:
+        name = entry["name"]
+        if name not in expected:
+            raise ValueError(f"checkpoint has unexpected tensor {name!r}")
+        if name in seen:
+            raise ValueError(f"checkpoint lists tensor {name!r} twice")
+        seen.add(name)
+    missing = [name for name in expected if name not in seen]
+    if missing:
+        raise ValueError(f"checkpoint is missing tensor {missing[0]!r}")
+    by_name = {}
+    position = 0
+    for entry in index:
+        name, shape = entry["name"], tuple(entry["shape"])
+        if shape != expected[name]:
+            raise ValueError(
+                f"checkpoint tensor {name!r} has shape {shape}, expected {expected[name]}"
+            )
+        if entry["offset"] != position:
+            raise ValueError(
+                f"checkpoint tensor {name!r} starts at byte {entry['offset']}, "
+                f"expected {position}"
+            )
+        count = int(np.prod(shape))
+        if position + 8 * count > len(blob):
+            raise ValueError(
+                f"checkpoint blob of {len(blob)} bytes ends inside tensor {name!r}"
+            )
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=position)
+        by_name[name] = arr.reshape(shape).astype(float)
+        position += 8 * count
+    if position != len(blob):
+        raise ValueError(
+            f"checkpoint blob holds {len(blob)} bytes, its tensors {position}"
+        )
+    return by_name
+
+
 def load_checkpoint(out_dir) -> TrainState:
+    """Restore a checkpoint; a blob or index that does not match the network
+    it describes raises ``ValueError`` naming the offending tensor."""
     out = Path(out_dir)
     manifest = json.loads((out / "checkpoint.json").read_text())
     if manifest["version"] != CHECKPOINT_VERSION:
@@ -329,14 +379,8 @@ def load_checkpoint(out_dir) -> TrainState:
     config = net_config_from_dict(manifest["net_config"])
     params = L.init_network_params(config, seed=0, frozen_modes=manifest["frozen_modes"])
     state = init_train_state(params, seed=0)
-
-    by_name = {}
-    for entry in manifest["tensor_index"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start).reshape(shape)
-        by_name[entry["name"]] = arr.astype(float)
+    expected = {name: arr.shape for name, arr in _checkpoint_tensors(state)}
+    by_name = _read_tensors(manifest["tensor_index"], blob, expected)
     for (name, arr), m, v in zip(
         L.named_param_arrays(state.params), state.first_moment, state.second_moment
     ):

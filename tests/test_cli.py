@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,15 @@ class TestEvaluate:
         assert report["val_rmse"] == pytest.approx(
             report["recorded_best_val_rmse"], abs=1e-9
         )
+
+    def test_truncated_checkpoint_exits_2(self, workspace, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(workspace["run"], run)
+        blob = (run / "checkpoint.bin").read_bytes()
+        (run / "checkpoint.bin").write_bytes(blob[: len(blob) // 2])
+        assert dispatch(["evaluate", "--config", str(workspace["config"]),
+                         "--out", str(run)]) == 2
+        assert "ends inside tensor" in capsys.readouterr().err
 
 
 class TestPredict:

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -254,12 +255,64 @@ class TestTrain:
         def nan_on_second_epoch(samples, bases, params, chunk_size):
             calls.append(1)
             preds = real(samples, bases, params, chunk_size)
-            return preds * np.nan if len(calls) > 2 else preds
+            # one call per epoch: only the validation split is evaluated
+            return preds * np.nan if len(calls) > 1 else preds
 
         monkeypatch.setattr(L, "predict_batches", nan_on_second_epoch)
         cfg = T.TrainConfig(learning_rate=1e-2, max_epochs=5, seed=0)
         with pytest.raises(NumericalFailure, match="epoch 1: non-finite evaluation"):
             T.train(splits, ds.graphs, small_net(), cfg)
+
+    def test_train_rmse_of_one_batch_is_pre_update_rmse(self):
+        from mmgcn.graphs import graph_bases
+
+        ds, splits = tiny_dataset()
+        net = small_net()
+        cfg = T.TrainConfig(learning_rate=1e-2, batch_size=len(splits["train"]),
+                            max_epochs=1, seed=6)
+        result = T.train(splits, ds.graphs, net, cfg)
+        initial = L.init_network_params(net, cfg.seed, cfg.reg.frozen_modes)
+        expected = M.rmse(
+            L.predict_batches(splits["train"], graph_bases(ds.graphs, 2), initial),
+            M.stack_targets(splits["train"]),
+        )
+        assert result.history[0].train_rmse == pytest.approx(expected, rel=1e-12)
+
+    def test_train_rmse_pools_pre_update_batch_predictions(self):
+        # replay the loop from its public pieces, predicting each batch
+        # before its update
+        from mmgcn.graphs import graph_bases
+
+        ds, splits = tiny_dataset()
+        net = small_net()
+        cfg = T.TrainConfig(learning_rate=1e-2, batch_size=50, max_epochs=2,
+                            cov_update_every=2, seed=9)
+        result = T.train(splits, ds.graphs, net, cfg)
+
+        train = splits["train"]
+        assert len(train) % cfg.batch_size != 0  # a short last batch
+        bases = graph_bases(ds.graphs, 2)
+        state = T.init_train_state(
+            L.init_network_params(net, cfg.seed, cfg.reg.frozen_modes), cfg.seed
+        )
+        inputs = np.stack([s.input for s in train])
+        targets = M.stack_targets(train)
+        batches = 0
+        for epoch in range(cfg.max_epochs):
+            order = state.rng.permutation(len(train))
+            squared = 0.0
+            for start in range(0, len(train), cfg.batch_size):
+                picked = order[start : start + cfg.batch_size]
+                preds = L.predict_batches([train[i] for i in picked], bases, state.params)
+                squared += float(np.sum((preds - targets[picked]) ** 2))
+                _, grads = L.batch_loss(inputs[picked], targets[picked], bases,
+                                        state.params, cfg.reg, with_grads=True)
+                T.adam_step(state, grads, cfg)
+                batches += 1
+                if batches % cfg.cov_update_every == 0:
+                    T._update_covariances(state.params, cfg.reg)
+            pooled = np.sqrt(squared / targets.size)
+            assert result.history[epoch].train_rmse == pytest.approx(pooled, rel=1e-12)
 
     def test_empty_split_rejected(self):
         ds, splits = tiny_dataset()
@@ -319,6 +372,41 @@ class TestCheckpoint:
         )
         assert restored.step == first.step
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin", "checkpoint.json"]
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        ds, splits = tiny_dataset()
+        cfg = T.TrainConfig(learning_rate=1e-2, max_epochs=1, seed=2)
+        state = T.train(splits, ds.graphs, small_net(), cfg).state
+        T.save_checkpoint(tmp_path, state, cfg.reg.frozen_modes)
+        return tmp_path
+
+    def _edit_index(self, out_dir, edit):
+        path = out_dir / "checkpoint.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest["tensor_index"])
+        path.write_text(json.dumps(manifest))
+
+    def test_truncated_blob_names_tensor(self, saved):
+        blob = (saved / "checkpoint.bin").read_bytes()
+        (saved / "checkpoint.bin").write_bytes(blob[:-8])
+        with pytest.raises(ValueError, match=r"ends inside tensor 'layer1\.cov\.M'"):
+            T.load_checkpoint(saved)
+
+    def test_missing_tensor_named(self, saved):
+        # dropping the last tensor keeps the layout of the others intact
+        self._edit_index(saved, lambda index: index.pop())
+        with pytest.raises(ValueError, match=r"missing tensor 'layer1\.cov\.M'"):
+            T.load_checkpoint(saved)
+
+    def test_extra_tensor_named(self, saved):
+        def add(index):
+            index.append({"name": "layer9.weights", "shape": [1],
+                          "offset": index[-1]["offset"]})
+
+        self._edit_index(saved, add)
+        with pytest.raises(ValueError, match=r"unexpected tensor 'layer9\.weights'"):
+            T.load_checkpoint(saved)
 
     def test_restored_evaluation_matches(self, tmp_path):
         from mmgcn.graphs import graph_bases
