@@ -191,9 +191,14 @@ def pack_grads(grads) -> np.ndarray:
 # Activations are vertex-major, (M, V, B, f): modality i's whole batch is one
 # contiguous (V, B*f) matrix, so propagating it over every degree of its
 # basis is one product with the basis's row or column stack.  Both layer
-# kinds are a per-source polynomial convolution sum_a B_a H W_a with the
-# source's weights as (K+1, f1, g): a GGCN source feeds all M targets
-# (g = M*f2), an MRGCN source only its own (g = f2).
+# kinds are a per-source polynomial convolution sum_a B_a H W_a.  A GGCN
+# source feeds all M targets (g = M*f2, and all sources add into one output
+# group); an MRGCN source only its own (g = f2, one group per source).
+# Source i adds into group i % groups.
+#
+# Propagated stacks are degree-minor, (V, B, K+1, f), so that a batch
+# against a source's weights is one 2-D product: ((K+1)*f1, g) weights after
+# propagating the input, (f1, (K+1)*g) before propagating the output.
 
 def _propagates_input(f1: int, g: int) -> bool:
     """Propagate the input and then contract when it is no wider than the
@@ -202,60 +207,31 @@ def _propagates_input(f1: int, g: int) -> bool:
     return f1 <= g
 
 
-def _conv_forward(h: np.ndarray, basis: LaplacianBasis, w: np.ndarray):
-    """sum_a B_a h w[a] for vertex-major h (V, B, f1) and w (K+1, f1, g).
-
-    Returns the (V, B, g) result and the operand its backward pass needs:
-    the propagated input (K+1, V*B, f1), or the input itself (V*B, f1).
-    """
-    v, b, f1 = h.shape
-    kp1, g = w.shape[0], w.shape[2]
-    if _propagates_input(f1, g):
-        p = np.empty((kp1, v * b, f1))
-        p[0] = h.reshape(v * b, f1)
-        np.matmul(basis.row_stack, h.reshape(v, b * f1),
-                  out=p[1:].reshape((kp1 - 1) * v, b * f1))
-        return np.tensordot(p, w, axes=([0, 2], [0, 1])).reshape(v, b, g), p
-    h_flat = h.reshape(v * b, f1)
-    q = np.matmul(h_flat, w)  # (K+1, V*B, g)
-    z = basis.col_stack @ q[1:].reshape((kp1 - 1) * v, b * g)
-    z += q[0].reshape(v, b * g)
-    return z.reshape(v, b, g), h_flat
-
-
-def _conv_backward(dz: np.ndarray, operand: np.ndarray, basis: LaplacianBasis,
-                   w: np.ndarray, need_dh: bool):
-    """Gradients of :func:`_conv_forward` for the (V, B, g) output gradient:
-    ``dw`` (K+1, f1, g) and ``dh`` (V, B, f1), or None unless ``need_dh``.
-    The transposed basis stacks carry the gradient back over the graph."""
-    v, b, g = dz.shape
-    kp1, f1 = w.shape[0], w.shape[1]
-    dz_flat = dz.reshape(v * b, g)
-    if _propagates_input(f1, g):
-        dw = np.matmul(operand.transpose(0, 2, 1), dz_flat)
-        if not need_dh:
-            return dw, None
-        dp = np.matmul(dz_flat, w.transpose(0, 2, 1))  # (K+1, V*B, f1)
-        dh = basis.row_stack.T @ dp[1:].reshape((kp1 - 1) * v, b * f1)
-        dh += dp[0].reshape(v, b * f1)
-        return dw, dh.reshape(v, b, f1)
-    dq = np.empty((kp1, v * b, g))
-    dq[0] = dz_flat
-    np.matmul(basis.col_stack.T, dz.reshape(v, b * g),
-              out=dq[1:].reshape((kp1 - 1) * v, b * g))
-    dw = np.matmul(operand.T, dq)
-    if not need_dh:
-        return dw, None
-    return dw, np.tensordot(dq, w, axes=([0, 2], [0, 2])).reshape(v, b, f1)
-
-
-def _source_view(weights: np.ndarray, i: int) -> np.ndarray:
-    """View of the weights acting on source modality i, degree first:
-    (K+1, f1, M, f2) of a GGCN tensor (M, M, K+1, f1, f2), (K+1, f1, f2) of
-    an MRGCN tensor (f1, f2, K+1, M)."""
+def _source_major(weights: np.ndarray, propagate_first: bool) -> np.ndarray:
+    """View of a GGCN (M, M, K+1, f1, f2) or MRGCN (f1, f2, K+1, M) weight
+    tensor with the source modality first and degree before feature on the
+    propagated side: (M, K+1, f1, [M,] f2) or (M, f1, K+1, [M,] f2)."""
     if weights.ndim == 5:
-        return weights[i].transpose(1, 2, 0, 3)
-    return weights[:, :, :, i].transpose(2, 0, 1)
+        return weights.transpose((0, 2, 3, 1, 4) if propagate_first else (0, 3, 2, 1, 4))
+    return weights.transpose((3, 2, 0, 1) if propagate_first else (3, 0, 2, 1))
+
+
+def _spread(x: np.ndarray, stack: np.ndarray, out: np.ndarray) -> None:
+    """Write x and every (K*V, V) ``stack`` term applied to it into the
+    degree-minor out (V, B, K+1, f), for x (V, B, f)."""
+    v, b, f = x.shape
+    out[:, :, 0] = x
+    out[:, :, 1:] = (stack @ x.reshape(v, b * f)).reshape(-1, v, b, f).transpose(1, 2, 0, 3)
+
+
+def _gather(y: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """y[:, :, 0] plus every (V, K*V) ``stack`` term applied to its degree of
+    the degree-minor y (V, B, K+1, f); returns (V*B, f)."""
+    v, b, kp1, f = y.shape
+    rows = np.ascontiguousarray(y[:, :, 1:].transpose(2, 0, 1, 3)).reshape((kp1 - 1) * v, b * f)
+    out = (stack @ rows).reshape(v, b, f)
+    out += y[:, :, 0]
+    return out.reshape(v * b, f)
 
 
 def _bias_view(biases: np.ndarray) -> np.ndarray:
@@ -270,54 +246,72 @@ def _bias_grad(dz: np.ndarray, biases: np.ndarray) -> np.ndarray:
 
 def _layer_forward(h, bases, layer, activation: str, keep_cache: bool):
     """One layer on vertex-major h (M, V, B, f1); returns its (M, V, B, f2)
-    output and, if ``keep_cache``, what the backward pass needs."""
-    m, v, b, _ = h.shape
-    mixes = isinstance(layer, GgcnLayerParams)
-    z = None
-    outs = []
-    sources = []
-    for i in range(m):
-        view = _source_view(layer.weights, i)
-        w = view.reshape(view.shape[0], view.shape[1], -1)
-        zi, operand = _conv_forward(h[i], bases[i], w)
-        sources.append((w, operand) if keep_cache else None)
-        if not mixes:
-            outs.append(zi)
-        elif z is None:
-            z = zi
-        else:
-            z += zi
-    if mixes:
-        z = np.ascontiguousarray(z.reshape(v, b, m, -1).transpose(2, 0, 1, 3))
+    output and, if ``keep_cache``, what the backward pass needs: the
+    operand (the propagated input (V, B, M, K+1, f1), or the input itself),
+    the per-source weight matrices and the ReLU mask."""
+    m, v, b, f1 = h.shape
+    kp1, f2 = layer.weights.shape[2], layer.biases.shape[-1]
+    groups = 1 if isinstance(layer, GgcnLayerParams) else m
+    g = m // groups * f2
+    first = _propagates_input(f1, g)
+    w = np.ascontiguousarray(_source_major(layer.weights, first)).reshape(
+        m, kp1 * f1 if first else f1, -1)
+    if first:
+        operand = np.empty((v, b, m, kp1, f1))
+        for i in range(m):
+            _spread(h[i], bases[i].row_stack, operand[:, :, i])
+        z = np.matmul(operand.reshape(v * b, groups, -1).transpose(1, 0, 2),
+                      w.reshape(groups, -1, g))
     else:
-        z = np.stack(outs)
+        operand = h
+        z = np.zeros((groups, v * b, g))
+        for i in range(m):
+            q = h[i].reshape(v * b, f1) @ w[i]
+            z[i % groups] += _gather(q.reshape(v, b, kp1, g), bases[i].col_stack)
+    z = np.ascontiguousarray(
+        z.reshape(groups, v, b, -1, f2).transpose(0, 3, 1, 2, 4)).reshape(m, v, b, f2)
     z += _bias_view(layer.biases)
     mask = z > 0.0 if activation == RELU and keep_cache else None
     if activation == RELU:
         np.maximum(z, 0.0, out=z)
-    return z, ((sources, mask) if keep_cache else None)
+    return z, ((operand, w, mask) if keep_cache else None)
 
 
 def _layer_backward(d_out, cache, bases, layer, need_dh: bool):
     """Backward of :func:`_layer_forward`: the (M, V, B, f1) input gradient,
-    or None unless ``need_dh``, and the layer's parameter gradients."""
-    sources, mask = cache
-    dz = d_out * mask if mask is not None else d_out
-    d_biases = _bias_grad(dz, layer.biases)
-    m, v, b, _ = dz.shape
-    if isinstance(layer, GgcnLayerParams):
-        dz_all = np.ascontiguousarray(dz.transpose(1, 2, 0, 3)).reshape(v, b, -1)
-        dz_sources = [dz_all] * m
+    or None unless ``need_dh``, and the layer's parameter gradients.  A
+    writeable ``d_out`` belongs to the backward pass and takes the ReLU mask
+    in place."""
+    operand, w, mask = cache
+    if mask is not None:
+        d_out = np.multiply(d_out, mask, out=d_out if d_out.flags.writeable else None)
+    d_biases = _bias_grad(d_out, layer.biases)
+    m, v, b, f2 = d_out.shape
+    kp1, f1 = layer.weights.shape[2], operand.shape[-1]
+    groups = 1 if isinstance(layer, GgcnLayerParams) else m
+    g = m // groups * f2
+    first = _propagates_input(f1, g)
+    dz = np.ascontiguousarray(
+        d_out.reshape(groups, -1, v, b, f2).transpose(0, 2, 3, 1, 4)).reshape(groups, v * b, g)
+    d_mats = np.empty_like(w)
+    dh = np.empty((m, v, b, f1)) if need_dh else None
+    if first:
+        np.matmul(operand.reshape(v * b, groups, -1).transpose(1, 2, 0), dz,
+                  out=d_mats.reshape(groups, -1, g))
+        if need_dh:  # one source's propagated gradient at a time
+            for i in range(m):
+                dp = (dz[i % groups] @ w[i].T).reshape(v, b, kp1, f1)
+                dh[i] = _gather(dp, bases[i].row_stack.T).reshape(v, b, f1)
     else:
-        dz_sources = dz
+        dq = np.empty((v, b, kp1, g))
+        for i in range(m):
+            _spread(dz[i % groups].reshape(v, b, g), bases[i].col_stack.T, dq)
+            np.matmul(operand[i].reshape(v * b, f1).T, dq.reshape(v * b, -1), out=d_mats[i])
+            if need_dh:
+                dh[i] = (dq.reshape(v * b, -1) @ w[i].T).reshape(v, b, f1)
     d_weights = np.empty_like(layer.weights)
-    dh = np.empty((m, v, b, sources[0][0].shape[1])) if need_dh else None
-    for i, (w, operand) in enumerate(sources):
-        dw, dh_i = _conv_backward(dz_sources[i], operand, bases[i], w, need_dh)
-        view = _source_view(d_weights, i)
-        view[...] = dw.reshape(view.shape)
-        if need_dh:
-            dh[i] = dh_i
+    view = _source_major(d_weights, first)
+    view[...] = d_mats.reshape(view.shape)
     return dh, LayerGrads(d_weights, d_biases)
 
 
@@ -349,6 +343,7 @@ def _backward_batch(d_pred, caches, bases, params: NetworkParams):
     for idx in range(len(params.layers) - 1, -1, -1):
         # layer 0's input gradient would only reach the data: not computed
         dh, grads[idx] = _layer_backward(dh, caches[idx], bases, params.layers[idx], idx > 0)
+        caches[idx] = None  # release this layer's propagated stack and mask
     return grads
 
 

@@ -32,15 +32,6 @@ def mode_unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(tensor, mode, 0)).reshape(tensor.shape[mode], -1)
 
 
-def mode_refold(matrix: np.ndarray, dims: Sequence[int], mode: int) -> np.ndarray:
-    """Exact inverse of :func:`mode_unfold` for the given full ``dims``."""
-    dims = tuple(dims)
-    if not 0 <= mode < len(dims):
-        raise ValueError(f"mode {mode} out of range for dims {dims}")
-    rest = dims[:mode] + dims[mode + 1 :]
-    return np.moveaxis(matrix.reshape((dims[mode],) + rest), 0, mode)
-
-
 def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:
     """Multiply ``tensor`` along ``mode`` by ``matrix`` (shape ``d_mode x d_mode``)."""
     if matrix.shape[1] != tensor.shape[mode]:
@@ -51,6 +42,16 @@ def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarra
     return np.moveaxis(np.tensordot(matrix, tensor, axes=(1, mode)), 0, mode)
 
 
+def mode_products(tensor: np.ndarray, matrices: Sequence) -> np.ndarray:
+    """Apply ``matrices[k]`` along mode k for every mode in turn, skipping
+    ``None`` entries (an identity factor)."""
+    image = tensor
+    for mode, matrix in enumerate(matrices):
+        if matrix is not None:
+            image = mode_product(image, matrix, mode)
+    return image
+
+
 def all_mode_quadratic(tensor: np.ndarray, inverses: Sequence[np.ndarray]) -> float:
     """Quadratic form ``vec(W)^T (kron of per-mode inverses) vec(W)``.
 
@@ -59,10 +60,7 @@ def all_mode_quadratic(tensor: np.ndarray, inverses: Sequence[np.ndarray]) -> fl
     """
     if len(inverses) != tensor.ndim:
         raise ValueError(f"expected {tensor.ndim} inverses, got {len(inverses)}")
-    image = tensor
-    for mode, inv in enumerate(inverses):
-        image = mode_product(image, inv, mode)
-    return float(np.vdot(tensor, image).real)
+    return float(np.vdot(tensor, mode_products(tensor, inverses)).real)
 
 
 def spd_inverse(matrix: np.ndarray, cond_limit: float = 1e12) -> np.ndarray:
@@ -111,7 +109,3 @@ def finite_diff_gradient(
         grad[i] = (f(x + step) - f(x - step)) / (2.0 * h)
     return grad
 
-
-def numerical_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
-    """Rank as the number of singular values above ``tol``."""
-    return int(np.sum(np.linalg.svd(matrix, compute_uv=False) > tol))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import MODE_NAMES, mode_product, mode_unfold, spd_inverse
+from .numerics import MODE_NAMES, mode_products, mode_unfold, spd_inverse
 
 FLIP_FLOP_LITERAL = "literal"
 FLIP_FLOP_INVERSE_MLE = "inverse_mle"
@@ -128,25 +128,20 @@ def group_lasso(weights: np.ndarray, alpha_intra: float):
     return loss, grad
 
 
-def _mode_inverses(cov: CovarianceSet):
-    return [
-        np.eye(s.shape[0]) if frozen else spd_inverse(s)
-        for s, frozen in zip(cov.sigma, cov.frozen)
-    ]
-
-
 def tensor_normal_loss(weights: np.ndarray, cov: CovarianceSet):
     """Negative log tensor-normal prior 1/2 vec(W)^T Sigma^{-1} vec(W).
 
-    The Kronecker-structured inverse is applied by successive mode products.
-    Returns (loss, gradient); the covariances are treated as constants, so the
-    gradient is just the mode-product image of W.
+    The Kronecker-structured inverse is applied by successive mode products;
+    a frozen mode holds exactly the identity and is skipped.  Returns (loss,
+    gradient); the covariances are treated as constants, so the gradient is
+    just the mode-product image of W.
     """
     if cov.dims != weights.shape:
         raise ValueError(f"covariance dims {cov.dims} do not match weights {weights.shape}")
-    image = weights
-    for mode, inv in enumerate(_mode_inverses(cov)):
-        image = mode_product(image, inv, mode)
+    inverses = [None if frozen else spd_inverse(s) for s, frozen in zip(cov.sigma, cov.frozen)]
+    image = mode_products(weights, inverses)
+    if image is weights:  # every mode frozen: the gradient must not alias W
+        image = weights.copy()
     loss = 0.5 * float(np.vdot(weights, image).real)
     return loss, image
 
@@ -172,12 +167,12 @@ def flip_flop_update(
         raise ValueError(f"covariance dims {cov.dims} do not match weights {weights.shape}")
     if form not in (FLIP_FLOP_LITERAL, FLIP_FLOP_INVERSE_MLE):
         raise ValueError(f"unknown flip-flop form {form!r}")
-    image = weights
-    for k in range(4):
-        if k == mode or cov.frozen[k]:
-            continue
-        factor = cov.sigma[k] if form == FLIP_FLOP_LITERAL else spd_inverse(cov.sigma[k])
-        image = mode_product(image, factor, k)
+    factors = [
+        None if k == mode or cov.frozen[k]
+        else cov.sigma[k] if form == FLIP_FLOP_LITERAL else spd_inverse(cov.sigma[k])
+        for k in range(4)
+    ]
+    image = mode_products(weights, factors)
     unfolded = mode_unfold(weights, mode)
     scaled = mode_unfold(image, mode)
     dim = weights.shape[mode]

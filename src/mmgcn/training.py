@@ -94,24 +94,36 @@ def total_loss(batch, params: L.NetworkParams, bases, reg: RegularizerConfig) ->
 
 
 def adam_step(state: TrainState, grads, cfg: TrainConfig) -> TrainState:
-    """Standard bias-corrected Adam, in place; rejects non-finite gradients."""
+    """Standard bias-corrected Adam, in place; rejects non-finite gradients.
+
+    Every parameter is updated through two scratch arrays, with the same
+    IEEE operations in the same order as ``m_hat = m / (1 - beta1**t)``,
+    ``v_hat = v / (1 - beta2**t)``,
+    ``param -= lr * m_hat / (sqrt(v_hat) + eps)``."""
     named = L.named_param_arrays(state.params)
     flat_grads = []
     for layer_grads in grads:
         flat_grads.extend([layer_grads.weights, layer_grads.biases])
     state.step += 1
     t = state.step
+    size = max(param.size for _, param in named)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for (name, param), grad, m, v in zip(named, flat_grads, state.first_moment,
                                          state.second_moment):
         if not np.isfinite(grad).all():
             raise NumericalFailure(f"non-finite gradient in {name}")
+        a = scratch_a[: param.size].reshape(param.shape)
+        b = scratch_b[: param.size].reshape(param.shape)
         m *= cfg.adam_beta1
-        m += (1.0 - cfg.adam_beta1) * grad
+        m += np.multiply(1.0 - cfg.adam_beta1, grad, out=a)
         v *= cfg.adam_beta2
-        v += (1.0 - cfg.adam_beta2) * grad**2
-        m_hat = m / (1.0 - cfg.adam_beta1**t)
-        v_hat = v / (1.0 - cfg.adam_beta2**t)
-        param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        v += np.multiply(1.0 - cfg.adam_beta2, np.square(grad, out=a), out=a)
+        np.divide(m, 1.0 - cfg.adam_beta1**t, out=a)  # m_hat
+        np.multiply(cfg.learning_rate, a, out=a)
+        np.divide(v, 1.0 - cfg.adam_beta2**t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += cfg.adam_eps
+        param -= np.divide(a, b, out=a)
     return state
 
 

@@ -5,6 +5,20 @@ from mmgcn import graphs, layers
 from mmgcn.regularization import RegularizerConfig
 
 
+def mode_refold(matrix, dims, mode):
+    """Exact inverse of ``numerics.mode_unfold`` for the given full ``dims``."""
+    dims = tuple(dims)
+    if not 0 <= mode < len(dims):
+        raise ValueError(f"mode {mode} out of range for dims {dims}")
+    rest = dims[:mode] + dims[mode + 1 :]
+    return np.moveaxis(matrix.reshape((dims[mode],) + rest), 0, mode)
+
+
+def numerical_rank(matrix, tol=1e-8):
+    """Rank as the number of singular values above ``tol``."""
+    return int(np.sum(np.linalg.svd(matrix, compute_uv=False) > tol))
+
+
 def random_spd(rng, n, ridge=None):
     b = rng.normal(size=(n, n))
     return b @ b.T + (n if ridge is None else ridge) * np.eye(n)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from mmgcn import graphs, layers
-from mmgcn.numerics import finite_diff_gradient, numerical_rank
+from mmgcn.numerics import finite_diff_gradient
 from mmgcn.regularization import CovarianceSet, RegularizerConfig
 
-from conftest import random_graph, single_layer, tiny_network
+from conftest import numerical_rank, random_graph, random_spd, single_layer, tiny_network
 
 
 def single_vertex_basis(degree=0):
@@ -371,6 +371,53 @@ class TestPerVertexBias:
         specs = layers.make_layer_specs(["ggcn"], 4, [1])
         with pytest.raises(ValueError, match="vertex_count"):
             layers.NetworkConfig(2, 1, specs, per_vertex_bias=True)
+
+
+class TestBatchLossPurity:
+    """batch_loss only reads its inputs, and a second call repeats the first
+    bit for bit; the backward pass masks and releases its own buffers."""
+
+    @pytest.mark.parametrize("kinds", [("ggcn", "mrgcn", "mrgcn"), ("mrgcn", "mrgcn", "ggcn")])
+    @pytest.mark.parametrize("per_vertex_bias", [False, True])
+    @pytest.mark.parametrize("top_activation", [layers.IDENTITY, layers.RELU])
+    def test_inputs_unchanged_and_repeatable(self, kinds, per_vertex_bias, top_activation):
+        rng = np.random.default_rng(21)
+        v, m, degree = 4, 2, 2
+        bases = graphs.graph_bases(
+            [random_graph(rng, v, modality=f"custom{i}") for i in range(m)], degree
+        )
+        # 5 -> 6 propagates first, 6 -> 2 contracts first, 2 -> 1 either
+        widths = [5, 6, 2, 1]
+        activations = [layers.RELU, layers.RELU, top_activation]
+        specs = tuple(
+            layers.LayerSpec(kind, f1, f2, act)
+            for kind, f1, f2, act in zip(kinds, widths, widths[1:], activations)
+        )
+        config = layers.NetworkConfig(m, degree, specs, per_vertex_bias=per_vertex_bias,
+                                      vertex_count=v)
+        params = layers.init_network_params(config, 3, frozen_modes=("I",))
+        covariances = []
+        for layer in params.layers:
+            layer.biases[...] = rng.normal(size=layer.biases.shape)
+            if isinstance(layer, layers.MrgcnLayerParams):
+                for mode in (1, 2, 3):
+                    layer.covariances.replace(mode, random_spd(rng, layer.covariances.dims[mode]))
+                covariances.extend(layer.covariances.sigma)
+        reg = RegularizerConfig(alpha_low=1e-2, alpha_high=1e-2, frozen_modes=("I",))
+        x = rng.normal(size=(3, v, 5))
+        y = rng.normal(size=(3, v))
+        inputs = [x, y] + [arr for _, arr in layers.named_param_arrays(params)] + covariances
+        before = [arr.copy() for arr in inputs]
+
+        loss1, grads1 = layers.batch_loss(x, y, bases, params, reg, with_grads=True)
+        loss2, grads2 = layers.batch_loss(x, y, bases, params, reg, with_grads=True)
+
+        for arr, saved in zip(inputs, before):
+            assert np.array_equal(arr, saved)
+        assert loss1 == loss2
+        for g1, g2 in zip(grads1, grads2):
+            assert np.array_equal(g1.weights, g2.weights)
+            assert np.array_equal(g1.biases, g2.biases)
 
 
 class TestParamPacking:

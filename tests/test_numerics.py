@@ -8,13 +8,11 @@ from mmgcn.numerics import (
     all_mode_quadratic,
     finite_diff_gradient,
     mode_product,
-    mode_refold,
     mode_unfold,
-    numerical_rank,
     spd_inverse,
 )
 
-from conftest import random_spd
+from conftest import mode_refold, numerical_rank, random_spd
 
 
 class TestModeUnfold:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from mmgcn.numerics import finite_diff_gradient, mode_unfold
+from mmgcn.numerics import (
+    all_mode_quadratic,
+    finite_diff_gradient,
+    mode_product,
+    mode_unfold,
+    spd_inverse,
+)
 from mmgcn.regularization import (
     FLIP_FLOP_INVERSE_MLE,
     FLIP_FLOP_LITERAL,
@@ -148,6 +154,30 @@ class TestTensorNormalLoss:
         )
         rel = np.abs(grad.reshape(-1) - fd) / np.maximum(np.abs(fd) + np.abs(grad.reshape(-1)), 1e-8)
         assert rel.max() < 1e-4
+
+    def test_skipping_frozen_modes_is_bit_identical(self):
+        # frozen modes hold exactly I; skipping them must not move a bit
+        # against the explicit product over all four modes
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            dims = tuple(int(d) for d in rng.integers(1, 5, size=4))
+            w = rng.normal(size=dims)
+            cov = random_cov(rng, dims, frozen=(True, True, False, False))
+            inverses = [np.eye(s.shape[0]) if fz else spd_inverse(s)
+                        for s, fz in zip(cov.sigma, cov.frozen)]
+            image = w
+            for mode, inv in enumerate(inverses):
+                image = mode_product(image, inv, mode)
+            loss, grad = tensor_normal_loss(w, cov)
+            assert loss == 0.5 * float(np.vdot(w, image).real)
+            assert np.array_equal(grad, image)
+            assert 0.5 * all_mode_quadratic(w, inverses) == loss
+
+    def test_all_frozen_gradient_is_a_copy(self):
+        w = np.ones((2, 2, 2, 2))
+        _, grad = tensor_normal_loss(w, CovarianceSet.identity(w.shape, ("I", "O", "C", "M")))
+        np.testing.assert_array_equal(grad, w)
+        assert not np.shares_memory(grad, w)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

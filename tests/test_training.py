@@ -138,6 +138,31 @@ class TestAdamStep:
             losses.append(loss(theta))
         assert losses[2] < losses[1] < losses[0]
 
+    def test_matches_textbook_update_bitwise(self):
+        state = self._state()
+        cfg = T.TrainConfig(learning_rate=1e-2)
+        rng = np.random.default_rng(3)
+        theta = [arr.copy() for _, arr in L.named_param_arrays(state.params)]
+        first = [np.zeros_like(a) for a in theta]
+        second = [np.zeros_like(a) for a in theta]
+        for t in range(1, 4):
+            grads = [
+                L.LayerGrads(rng.normal(size=l.weights.shape), rng.normal(size=l.biases.shape))
+                for l in state.params.layers
+            ]
+            T.adam_step(state, grads, cfg)
+            flat = [arr for g in grads for arr in (g.weights, g.biases)]
+            for k, grad in enumerate(flat):
+                first[k] = cfg.adam_beta1 * first[k] + (1.0 - cfg.adam_beta1) * grad
+                second[k] = cfg.adam_beta2 * second[k] + (1.0 - cfg.adam_beta2) * grad**2
+                m_hat = first[k] / (1.0 - cfg.adam_beta1**t)
+                v_hat = second[k] / (1.0 - cfg.adam_beta2**t)
+                theta[k] = theta[k] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        for (name, arr), expected in zip(L.named_param_arrays(state.params), theta):
+            assert np.array_equal(arr, expected), name
+        for got, expected in zip(state.first_moment + state.second_moment, first + second):
+            assert np.array_equal(got, expected)
+
     def test_nonfinite_gradient_names_block(self):
         state = self._state()
         grads = self._zero_grads(state.params)
