@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, asdict, fields
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,16 @@ VARIANTS = {
                            "use_group_lasso": True, "use_tensor_normal": True},
 }
 
+
+def _field_defaults(cls, skip=()) -> dict:
+    """A dataclass's defaults by field name; a field without one maps to
+    ``None``, which ``_merge_defaults`` treats as required."""
+    return {f.name: None if f.default is MISSING else f.default
+            for f in fields(cls) if f.name not in skip}
+
+
+# ``train.reg`` is RegularizerConfig's own section; its ``frozen_modes`` comes
+# from the variant
 _RUN_DEFAULTS = {
     "manifest": None,
     "variant": "GGCN_plus_MRGCN_2S",
@@ -49,39 +61,15 @@ _RUN_DEFAULTS = {
         "per_vertex_bias": False,
     },
     "train": {
-        "learning_rate": 5e-4,
-        "batch_size": 32,
-        "adam_beta1": 0.9,
-        "adam_beta2": 0.999,
-        "adam_eps": 1e-8,
-        "max_epochs": 100,
-        "patience": 10,
-        "cov_update_every": 1,
-        "seed": 0,
-        "reg": {
-            "alpha_intra": 0.1,
-            "alpha_low": 1e-4,
-            "alpha_high": 1e-4,
-            "epsilon": 1e-6,
-            "flip_flop_form": "literal",
-            "normalize_covariance": True,
-        },
+        **_field_defaults(T.TrainConfig, skip=("reg",)),
+        "reg": _field_defaults(RegularizerConfig, skip=("frozen_modes",)),
     },
     "analysis": {"edge_threshold": 0.0, "include_diagonal": True, "max_samples": 256},
 }
 
-_SYNTH_DEFAULTS = {
-    "grid_rows": None,
-    "grid_cols": None,
-    "weeks": None,
-    "poi_categories": 13,
-    "drift_rate": 0.0,
-    "noise_scale": 0.0,
-    "seed": 0,
-    "interval_minutes": 30,
-    "val_weeks": 1,
-    "test_weeks": 1,
-}
+_SYNTH_DEFAULTS = {**_field_defaults(D.SynthConfig), "val_weeks": 1, "test_weeks": 1}
+
+_SPLITS = ("train", "val", "test")
 
 
 def _merge_defaults(config: dict, defaults: dict, context: str) -> dict:
@@ -108,10 +96,6 @@ def _read_config(path) -> dict:
         return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
-
-
-def _load_config(path, defaults) -> dict:
-    return _merge_defaults(_read_config(path), defaults, "config")
 
 
 def _resolve_run_config(path) -> dict:
@@ -165,33 +149,34 @@ def _train_config(config: dict) -> T.TrainConfig:
     return T.TrainConfig(reg=reg, **section)
 
 
-def _load_split_samples(config: dict):
-    dataset = D.load_dataset(config["manifest"])
+def _split_samples(dataset) -> dict:
     samples = D.make_windows(dataset.series)
-    train, val, test = D.split_dataset(
-        samples, dataset.splits["train"], dataset.splits["val"], dataset.splits["test"]
-    )
-    return dataset, {"train": train, "val": val, "test": test}
+    parts = D.split_dataset(samples, *(dataset.splits[name] for name in _SPLITS))
+    return dict(zip(_SPLITS, parts))
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path: Path, header, rows) -> None:
+    """One line per row; a float is written as its ``repr``, the shortest text
+    that reads back to the same double."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _cmd_synth(config_path, out_dir) -> int:
-    config = _load_config(config_path, _SYNTH_DEFAULTS)
-    val_weeks = config.pop("val_weeks")
-    test_weeks = config.pop("test_weeks")
-    synth_cfg = D.SynthConfig(**config)
+    config = _merge_defaults(_read_config(config_path), _SYNTH_DEFAULTS, "config")
+    synth_cfg = D.SynthConfig(**{k: v for k, v in config.items()
+                                 if k not in ("val_weeks", "test_weeks")})
     dataset = D.generate_synthetic(synth_cfg)
-    splits = D.default_splits(synth_cfg, val_weeks, test_weeks)
+    splits = D.default_splits(synth_cfg, config["val_weeks"], config["test_weeks"])
     manifest_path = D.save_dataset(dataset, out_dir, splits)
-    _write_json(Path(out_dir) / "synth_config.json", {**config,
-                "val_weeks": val_weeks, "test_weeks": test_weeks})
+    _write_json(Path(out_dir) / "synth_config.json", config)
     print(f"wrote dataset manifest {manifest_path}")
     return 0
 
@@ -200,19 +185,15 @@ def _cmd_train(config_path, out_dir) -> int:
     config = _resolve_run_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset, splits = _load_split_samples(config)
+    dataset = D.load_dataset(config["manifest"])
+    splits = _split_samples(dataset)
     net_config = _build_net_config(config, dataset.series.vertex_count)
     train_cfg = _train_config(config)
     result = T.train(splits, dataset.graphs, net_config, train_cfg,
                      config["network"]["basis"])
     _write_json(out / "run.json", config)
-    with (out / "history.csv").open("w") as fh:
-        fh.write("epoch,train_rmse,val_rmse\n")
-        for row in result.history:
-            fh.write(
-                f"{row.epoch},{_format_float(row.train_rmse)},"
-                f"{_format_float(row.val_rmse)}\n"
-            )
+    _write_csv(out / "history.csv", ("epoch", "train_rmse", "val_rmse"),
+               [(row.epoch, row.train_rmse, row.val_rmse) for row in result.history])
     T.save_checkpoint(out, result.state, train_cfg.reg.frozen_modes)
     print(
         f"trained {config['variant']} for {len(result.history)} epochs; "
@@ -223,23 +204,20 @@ def _cmd_train(config_path, out_dir) -> int:
 
 def _load_run(config_path, out_dir):
     config = _resolve_run_config(config_path)
-    dataset, splits = _load_split_samples(config)
+    dataset = D.load_dataset(config["manifest"])
     state = T.load_checkpoint(out_dir)
     bases = graph_bases(
         dataset.graphs, state.params.config.cheb_degree, config["network"]["basis"]
     )
-    return config, dataset, splits, state, bases
+    return config, dataset, state, bases
 
 
 def _cmd_evaluate(config_path, out_dir) -> int:
-    config, _, splits, state, bases = _load_run(config_path, out_dir)
-    report = {}
-    for name, samples in splits.items():
-        if samples:
-            predictions = L.predict_batches(samples, bases, state.params, T.EVAL_CHUNK)
-            report[f"{name}_rmse"] = M.rmse(predictions, M.stack_targets(samples))
-        else:
-            report[f"{name}_rmse"] = None
+    _, dataset, state, bases = _load_run(config_path, out_dir)
+    report = {
+        f"{name}_rmse": T.evaluate_rmse(samples, bases, state.params) if samples else None
+        for name, samples in _split_samples(dataset).items()
+    }
     report["recorded_best_val_rmse"] = state.best_val_rmse
     report["best_epoch"] = state.best_epoch
     _write_json(Path(out_dir) / "evaluation.json", report)
@@ -249,123 +227,99 @@ def _cmd_evaluate(config_path, out_dir) -> int:
 
 
 def _cmd_predict(config_path, out_dir, target_index: int) -> int:
-    config, dataset, _, state, bases = _load_run(config_path, out_dir)
-    samples = {s.target_index: s for s in D.make_windows(dataset.series)}
-    if target_index not in samples:
-        raise ValueError(
-            f"target index {target_index} has no sample (valid range "
-            f"[{min(samples)}, {max(samples)}])"
-        )
-    prediction = L.network_forward(samples[target_index].input, bases, state.params)
+    _, dataset, state, bases = _load_run(config_path, out_dir)
+    sample = D.window_at(dataset.series, target_index)
+    prediction = L.network_forward(sample.input, bases, state.params)
     path = Path(out_dir) / f"prediction_{target_index}.csv"
     np.savetxt(path, prediction, delimiter=",", fmt="%.9g")
     print(f"wrote {path}")
     return 0
 
 
-def _weekly_test_rmse(splits, state, bases, week: int, test_lo: int, n_weeks: int):
-    values = []
-    for k in range(n_weeks):
-        lo, hi = test_lo + k * week, test_lo + (k + 1) * week
-        picked = [s for s in splits["test"] if lo <= s.target_index < hi]
-        predictions = L.predict_batches(picked, bases, state.params, T.EVAL_CHUNK)
-        values.append(M.rmse(predictions, M.stack_targets(picked)))
-    return values
+def _graph_stats(graphs, threshold: float) -> dict:
+    return {
+        "density": {g.modality_id: graph_density(g, threshold) for g in graphs},
+        "pairs": {
+            f"{a.modality_id}__{b.modality_id}": asdict(compare_graphs(a, b, threshold))
+            for a, b in combinations(graphs, 2)
+        },
+    }
 
 
-def _cmd_analyze(config_path, out_dir) -> int:
-    config, dataset, splits, state, bases = _load_run(config_path, out_dir)
-    out = Path(out_dir)
-    threshold = config["analysis"]["edge_threshold"]
-
-    names = [g.modality_id for g in dataset.graphs]
-    stats = {"density": {}, "pairs": {}}
-    for graph, name in zip(dataset.graphs, names):
-        stats["density"][name] = graph_density(graph, threshold)
-    for a in range(len(dataset.graphs)):
-        for b in range(a + 1, len(dataset.graphs)):
-            cmp = compare_graphs(dataset.graphs[a], dataset.graphs[b], threshold)
-            stats["pairs"][f"{names[a]}__{names[b]}"] = {
-                "f_measure": cmp.f_measure,
-                "edit_distance": cmp.edit_distance,
-            }
-    _write_json(out / "graph_stats.json", stats)
-
-    week = dataset.series.week_intervals
+def _drift_rows(dataset, test_samples, state, bases) -> list:
+    """(week, KL from the last train week, test RMSE) per whole test week."""
+    series = dataset.series
+    week = series.week_intervals
     train_hi = dataset.splits["train"][1]
     test_lo, test_hi = dataset.splits["test"]
     n_weeks = (test_hi - test_lo) // week
     if train_hi < week or n_weeks < 1:
         raise ValueError("drift analysis needs at least one whole week in train and test")
     report = M.kl_temporal_drift(
-        dataset.series.values[:, train_hi - week : train_hi],
-        dataset.series.values[:, test_lo : test_lo + n_weeks * week],
-        dataset.series.interval_minutes,
+        series.values[:, train_hi - week : train_hi],
+        series.values[:, test_lo : test_lo + n_weeks * week],
+        series.interval_minutes,
     )
-    report = M.with_rmse(
-        report, _weekly_test_rmse(splits, state, bases, week, test_lo, n_weeks)
-    )
-    with (out / "drift.csv").open("w") as fh:
-        fh.write("week_index,kl_divergence,test_rmse\n")
-        for entry in report.weeks:
-            fh.write(
-                f"{entry.week_index},{_format_float(entry.kl_divergence)},"
-                f"{_format_float(entry.test_rmse)}\n"
-            )
-    _write_json(out / "drift.json", {
-        "weeks": [
-            {"week_index": e.week_index, "kl_divergence": e.kl_divergence,
-             "test_rmse": e.test_rmse}
-            for e in report.weeks
-        ]
-    })
+    rows = []
+    for entry in report.weeks:
+        lo = test_lo + entry.week_index * week
+        picked = [s for s in test_samples if lo <= s.target_index < lo + week]
+        rows.append((entry.week_index, entry.kl_divergence,
+                     T.evaluate_rmse(picked, bases, state.params)))
+    return rows
 
-    eval_samples = (splits["test"] or splits["val"])[: config["analysis"]["max_samples"]]
+
+def _independence(hidden, names, include_diag: bool) -> list:
+    """Per hidden layer with at least two features, each modality's score."""
+    layers = []
+    for idx, h in enumerate(hidden, start=1):
+        if h.shape[3] < 2:
+            continue
+        per_modality = {
+            name: M.feature_independence(hj.reshape(-1, h.shape[3]), include_diag)
+            for name, hj in zip(names, h)
+        }
+        mean = float(np.mean(list(per_modality.values())))
+        layers.append({"layer": idx, "per_modality": per_modality, "mean": mean})
+    return layers
+
+
+def _cmd_analyze(config_path, out_dir) -> int:
+    config, dataset, state, bases = _load_run(config_path, out_dir)
+    analysis = config["analysis"]
+    out = Path(out_dir)
+    names = tuple(g.modality_id for g in dataset.graphs)
+    _write_json(out / "graph_stats.json",
+                _graph_stats(dataset.graphs, analysis["edge_threshold"]))
+
+    splits = _split_samples(dataset)
+    header = ("week_index", "kl_divergence", "test_rmse")
+    rows = _drift_rows(dataset, splits["test"], state, bases)
+    _write_csv(out / "drift.csv", header, rows)
+    _write_json(out / "drift.json", {"weeks": [dict(zip(header, row)) for row in rows]})
+
+    eval_samples = (splits["test"] or splits["val"])[: analysis["max_samples"]]
     if not eval_samples:
         raise ValueError("analysis needs a nonempty test or validation split")
     x_batch = np.stack([s.input for s in eval_samples])
     _, hidden = L.network_forward_hidden(x_batch, bases, state.params)
-    include_diag = config["analysis"]["include_diagonal"]
-    independence = []
-    for idx, h in enumerate(hidden):
-        if h.shape[3] < 2:
-            continue
-        per_modality = {
-            names[j]: M.feature_independence(
-                h[j].reshape(-1, h.shape[3]), include_diag
-            )
-            for j in range(h.shape[0])
-        }
-        independence.append(
-            {
-                "layer": idx + 1,
-                "per_modality": per_modality,
-                "mean": float(np.mean(list(per_modality.values()))),
-            }
-        )
+    independence = _independence(hidden, names, analysis["include_diagonal"])
     _write_json(out / "feature_independence.json", {"layers": independence})
-    with (out / "feature_independence.csv").open("w") as fh:
-        fh.write("layer,modality,independence\n")
-        for entry in independence:
-            for name, value in entry["per_modality"].items():
-                fh.write(f"{entry['layer']},{name},{_format_float(value)}\n")
+    _write_csv(out / "feature_independence.csv", ("layer", "modality", "independence"),
+               [(e["layer"], name, value)
+                for e in independence for name, value in e["per_modality"].items()])
 
     for idx, (spec, layer) in enumerate(
-        zip(state.params.config.layer_specs, state.params.layers)
+        zip(state.params.config.layer_specs, state.params.layers), start=1
     ):
         if spec.kind != L.MRGCN:
             continue
-        rel = M.modality_relationship(layer.covariances, idx + 1, tuple(names))
-        with (out / f"relationship_layer{idx + 1}.csv").open("w") as fh:
-            fh.write("row,col,correlation,raw_covariance\n")
-            for a in range(len(rel.labels)):
-                for b in range(len(rel.labels)):
-                    fh.write(
-                        f"{rel.labels[a]},{rel.labels[b]},"
-                        f"{_format_float(rel.matrix[a, b])},"
-                        f"{_format_float(rel.raw[a, b])}\n"
-                    )
-        _write_json(out / f"relationship_layer{idx + 1}.json", {
+        rel = M.modality_relationship(layer.covariances, idx, names)
+        _write_csv(out / f"relationship_layer{idx}.csv",
+                   ("row", "col", "correlation", "raw_covariance"),
+                   [(rel.labels[a], rel.labels[b], rel.matrix[a, b], rel.raw[a, b])
+                    for a, b in np.ndindex(rel.matrix.shape)])
+        _write_json(out / f"relationship_layer{idx}.json", {
             "layer": rel.layer_id,
             "labels": list(rel.labels),
             "correlation": rel.matrix.tolist(),

@@ -76,22 +76,26 @@ class Sample:
     target_index: int
 
 
+def window_at(series: DemandSeries, t: int) -> Sample:
+    """The sample whose target is interval ``t``; its input reads only earlier
+    intervals, so ``t`` needs a full week of history."""
+    values, day = series.values, series.day_intervals
+    week, total = 7 * day, values.shape[1]
+    if not week <= t < total:
+        raise ValueError(f"target index {t} has no sample (valid range [{week}, {total - 1}])")
+    return Sample(values[:, (t - 1, t - 2, t - 3, t - day, t - week)], values[:, t : t + 1], t)
+
+
 def make_windows(series: DemandSeries) -> list:
     """One sample per target index from the first index with a full week of
     history; inputs only ever look backward."""
-    period = series.day_intervals
     week = series.week_intervals
     total = series.values.shape[1]
     if total <= week:
         raise ValueError(
             f"need more than {week} intervals to window with trend, got {total}"
         )
-    samples = []
-    for t in range(week, total):
-        columns = (t - 1, t - 2, t - 3, t - period, t - week)
-        window = series.values[:, columns]
-        samples.append(Sample(window, series.values[:, t : t + 1], t))
-    return samples
+    return [window_at(series, t) for t in range(week, total)]
 
 
 def split_dataset(samples, train_range, val_range, test_range):

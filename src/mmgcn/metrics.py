@@ -31,16 +31,11 @@ def rmse(predictions: np.ndarray, targets: np.ndarray) -> float:
 class DriftEntry:
     week_index: int
     kl_divergence: float
-    test_rmse: float | None = None
 
 
 @dataclass(frozen=True)
 class DriftReport:
     weeks: tuple
-
-
-def _series_values(series) -> np.ndarray:
-    return series.values if hasattr(series, "values") else np.asarray(series, dtype=float)
 
 
 def _weekly_patterns(values: np.ndarray, week: int) -> np.ndarray:
@@ -58,34 +53,17 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p * np.log(p / q)))
 
 
-def kl_temporal_drift(train_series, test_series, interval_minutes: int = 30) -> DriftReport:
+def kl_temporal_drift(train_values, test_values, interval_minutes: int = 30) -> DriftReport:
     """KL divergence from the last training week's temporal pattern to each
-    test week's pattern; both series must cover whole weeks.
-
-    ``interval_minutes`` applies to raw arrays; a ``DemandSeries`` input
-    carries its own interval.
-    """
-    if hasattr(train_series, "interval_minutes"):
-        interval_minutes = train_series.interval_minutes
+    test week's pattern; both ``(V, T)`` arrays must cover whole weeks."""
     week = 7 * (1440 // interval_minutes)
-    train_patterns = _weekly_patterns(_series_values(train_series), week)
-    test_patterns = _weekly_patterns(_series_values(test_series), week)
+    train_patterns = _weekly_patterns(np.asarray(train_values, dtype=float), week)
+    test_patterns = _weekly_patterns(np.asarray(test_values, dtype=float), week)
     reference = train_patterns[-1]
     entries = [
         DriftEntry(k, _kl(reference, pattern)) for k, pattern in enumerate(test_patterns)
     ]
     return DriftReport(tuple(entries))
-
-
-def with_rmse(report: DriftReport, per_week_rmse) -> DriftReport:
-    if len(per_week_rmse) != len(report.weeks):
-        raise ValueError("one RMSE value per drift week is required")
-    return DriftReport(
-        tuple(
-            DriftEntry(e.week_index, e.kl_divergence, float(r))
-            for e, r in zip(report.weeks, per_week_rmse)
-        )
-    )
 
 
 def feature_independence(activations: np.ndarray, include_diagonal: bool = True) -> float:

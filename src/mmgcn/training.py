@@ -15,7 +15,7 @@ from . import layers as L
 from .graphs import POWER_BASIS, graph_bases
 from .metrics import rmse, stack_targets
 from .numerics import MODE_NAMES, NumericalFailure
-from .regularization import RegularizerConfig, flip_flop_update, normalize_trace
+from .regularization import CovarianceSet, RegularizerConfig, flip_flop_update, normalize_trace
 
 CHECKPOINT_VERSION = 1
 EVAL_CHUNK = 256
@@ -145,7 +145,9 @@ def _update_covariances(params: L.NetworkParams, reg: RegularizerConfig) -> None
             cov.replace(mode, sigma)
 
 
-def _evaluate(samples, bases, params: L.NetworkParams) -> float:
+def evaluate_rmse(samples, bases, params: L.NetworkParams) -> float:
+    """RMSE of the chunked predictions over ``samples``, reduced in the same
+    floating-point order wherever a split is evaluated."""
     predictions = L.predict_batches(samples, bases, params, EVAL_CHUNK)
     return rmse(predictions, stack_targets(samples))
 
@@ -210,7 +212,7 @@ def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig,
                     f"epoch {epoch}, batch {start // cfg.batch_size}: {exc}"
                 ) from exc
         train_rmse = float(np.sqrt(sum(sq_errors) / targets.size))
-        val_rmse = _evaluate(val_samples, bases, state.params)
+        val_rmse = evaluate_rmse(val_samples, bases, state.params)
         if not (np.isfinite(train_rmse) and np.isfinite(val_rmse)):
             # a NaN never compares below the best and would pass for "no improvement"
             raise NumericalFailure(
@@ -382,7 +384,8 @@ def _read_tensors(index, blob: bytes, expected: dict) -> dict:
 
 def load_checkpoint(out_dir) -> TrainState:
     """Restore a checkpoint; a blob or index that does not match the network
-    it describes raises ``ValueError`` naming the offending tensor."""
+    it describes raises ``ValueError`` naming the offending tensor, and a
+    frozen covariance mode that is not exactly ``I`` one naming the mode."""
     out = Path(out_dir)
     manifest = json.loads((out / "checkpoint.json").read_text())
     if manifest["version"] != CHECKPOINT_VERSION:
@@ -391,21 +394,17 @@ def load_checkpoint(out_dir) -> TrainState:
     config = net_config_from_dict(manifest["net_config"])
     params = L.init_network_params(config, seed=0, frozen_modes=manifest["frozen_modes"])
     state = init_train_state(params, seed=0)
-    expected = {name: arr.shape for name, arr in _checkpoint_tensors(state)}
-    by_name = _read_tensors(manifest["tensor_index"], blob, expected)
-    for (name, arr), m, v in zip(
-        L.named_param_arrays(state.params), state.first_moment, state.second_moment
-    ):
+    tensors = _checkpoint_tensors(state)
+    by_name = _read_tensors(manifest["tensor_index"], blob,
+                            {name: arr.shape for name, arr in tensors})
+    for name, arr in tensors:
         arr[...] = by_name[name]
-        m[...] = by_name[f"adam_m.{name}"]
-        v[...] = by_name[f"adam_v.{name}"]
     for idx, layer in enumerate(state.params.layers):
         if isinstance(layer, L.MrgcnLayerParams):
-            for mode in range(4):
-                if not layer.covariances.frozen[mode]:
-                    layer.covariances.sigma[mode] = by_name[
-                        f"layer{idx}.cov.{MODE_NAMES[mode]}"
-                    ]
+            try:  # a frozen mode must still hold exactly the identity
+                CovarianceSet(layer.covariances.sigma, layer.covariances.frozen)
+            except ValueError as exc:
+                raise ValueError(f"checkpoint layer {idx}: {exc}") from exc
     scalars = manifest["scalars"]
     state.step = scalars["step"]
     state.best_val_rmse = scalars["best_val_rmse"]

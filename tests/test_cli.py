@@ -1,11 +1,15 @@
 import json
 import shutil
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mmgcn.cli import dispatch
+from mmgcn.data import SynthConfig
+from mmgcn.regularization import RegularizerConfig
+from mmgcn.training import TrainConfig
 
 
 def write_json(path: Path, payload: dict) -> Path:
@@ -157,8 +161,10 @@ class TestPredict:
         assert np.isfinite(prediction).all()
 
     def test_rejects_invalid_index(self, workspace):
-        assert dispatch(["predict", "--config", str(workspace["config"]),
-                         "--out", str(workspace["run"]), "--index", "10"]) == 2
+        # before the first full week of history, and past the end (T = 4 weeks)
+        for index in ("10", str(4 * 336)):
+            assert dispatch(["predict", "--config", str(workspace["config"]),
+                             "--out", str(workspace["run"]), "--index", index]) == 2
 
 
 class TestAnalyze:
@@ -194,6 +200,61 @@ class TestAnalyze:
         drift_json = json.loads((run / "drift.json").read_text())
         assert len(drift_json["weeks"]) == 1
         assert (run / "feature_independence.csv").exists()
+
+
+def run_pipeline(root: Path) -> None:
+    """synth, train, evaluate, predict and analyze on a tiny city under ``root``."""
+    root.mkdir()
+    synth = write_json(root / "synth.json", {
+        "grid_rows": 3, "grid_cols": 3, "weeks": 4, "seed": 2, "noise_scale": 0.2,
+    })
+    config = write_json(root / "config.json", {
+        "manifest": "data/manifest.json",
+        "variant": "GGCN_plus_MRGCN_4S",
+        "network": {"output_dims": [4, 1], "cheb_degree": 2},
+        "train": {"learning_rate": 1e-2, "max_epochs": 2, "seed": 0},
+    })
+    common = ["--config", str(config), "--out", str(root / "run")]
+    assert dispatch(["synth", "--config", str(synth), "--out", str(root / "data")]) == 0
+    for command in (["train"], ["evaluate"], ["predict", "--index", "700"], ["analyze"]):
+        assert dispatch(command + common) == 0
+
+
+def test_pipeline_artifacts_bit_identical(tmp_path):
+    # both runs use the same paths, because run.json records the manifest's
+    # absolute path
+    work = tmp_path / "work"
+    run_pipeline(work)
+    first = work.rename(tmp_path / "first")
+    run_pipeline(work)
+    names = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(work) for p in work.rglob("*") if p.is_file())
+    assert Path("run/relationship_layer2.csv") in names
+    for name in names:
+        assert (first / name).read_bytes() == (work / name).read_bytes(), name
+
+
+def test_echoed_defaults_match_dataclasses(tmp_path):
+    # 60-minute intervals halve the windows of a full default-length fit
+    given = {"grid_rows": 2, "grid_cols": 2, "weeks": 4, "interval_minutes": 60}
+    synth = write_json(tmp_path / "synth.json", given)
+    assert dispatch(["synth", "--config", str(synth), "--out", str(tmp_path / "data")]) == 0
+    echoed = json.loads((tmp_path / "data" / "synth_config.json").read_text())
+    assert echoed == {**asdict(SynthConfig(**given)), "val_weeks": 1, "test_weeks": 1}
+
+    # the 4S variant freezes no mode and keeps both regularizers
+    config = write_json(tmp_path / "run.json", {
+        "manifest": "data/manifest.json",
+        "variant": "GGCN_plus_MRGCN_4S",
+        "network": {"output_dims": [2, 1], "cheb_degree": 1},
+    })
+    assert dispatch(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    train = json.loads((tmp_path / "run" / "run.json").read_text())["train"]
+    reg = train.pop("reg")
+    expected_train = asdict(TrainConfig())
+    del expected_train["reg"]
+    assert train == expected_train
+    assert reg == {**asdict(RegularizerConfig()), "frozen_modes": []}
 
 
 def test_unknown_subcommand_exits_2():

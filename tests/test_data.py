@@ -69,6 +69,26 @@ class TestMakeWindows:
             D.make_windows(constant_series(intervals=336))
 
 
+class TestWindowAt:
+    # values encode their own (vertex, interval), so equal windows read the same cells
+    SERIES = D.DemandSeries(np.arange(3 * 400, dtype=float).reshape(3, 400))
+
+    def test_agrees_with_make_windows(self):
+        samples = D.make_windows(self.SERIES)
+        assert [s.target_index for s in samples] == list(range(336, 400))
+        for sample in samples:
+            one = D.window_at(self.SERIES, sample.target_index)
+            assert one.target_index == sample.target_index
+            assert np.array_equal(one.input, sample.input)
+            assert np.array_equal(one.target, sample.target)
+
+    @pytest.mark.parametrize("t", [335, 400])
+    def test_rejects_index_without_sample(self, t):
+        with pytest.raises(ValueError, match=rf"target index {t} has no sample "
+                                             r"\(valid range \[336, 399\]\)"):
+            D.window_at(self.SERIES, t)
+
+
 class TestSplitDataset:
     def _samples(self, n=10, start=336):
         series = constant_series(intervals=start + n)

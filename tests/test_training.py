@@ -433,6 +433,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"unexpected tensor 'layer9\.weights'"):
             T.load_checkpoint(saved)
 
+    def test_tampered_frozen_mode_named(self, saved):
+        # layer 1 freezes its input mode ("I"); its stored matrix must stay I
+        manifest = json.loads((saved / "checkpoint.json").read_text())
+        entry = next(e for e in manifest["tensor_index"] if e["name"] == "layer1.cov.I")
+        blob = bytearray((saved / "checkpoint.bin").read_bytes())
+        blob[entry["offset"] : entry["offset"] + 8] = np.array([2.0], dtype="<f8").tobytes()
+        (saved / "checkpoint.bin").write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"layer 1: frozen mode I must hold the identity"):
+            T.load_checkpoint(saved)
+
     def test_restored_evaluation_matches(self, tmp_path):
         from mmgcn.graphs import graph_bases
 
