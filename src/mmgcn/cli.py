@@ -72,13 +72,25 @@ _SYNTH_DEFAULTS = {**_field_defaults(D.SynthConfig), "val_weeks": 1, "test_weeks
 _SPLITS = ("train", "val", "test")
 
 
+def _object(section, context: str) -> dict:
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {context} must be a JSON object")
+    return section
+
+
 def _merge_defaults(config: dict, defaults: dict, context: str) -> dict:
+    """``config`` over ``defaults``; a value has its default's JSON type, where
+    an integer is also a number and a boolean is never one."""
     resolved = {}
     for key, default in defaults.items():
+        name = f"{context}.{key}"
         if isinstance(default, dict):
-            resolved[key] = _merge_defaults(config.get(key, {}), default, f"{context}.{key}")
-        else:
-            resolved[key] = config.get(key, default)
+            resolved[key] = _merge_defaults(_object(config.get(key, {}), name), default, name)
+            continue
+        resolved[key] = value = config.get(key, default)
+        allowed = (float, int) if type(default) is float else (type(default),)
+        if default is not None and type(value) not in allowed:
+            raise ValueError(f"config field {name} must be {type(default).__name__}, got {value!r}")
     unknown = set(config) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config field {context}.{sorted(unknown)[0]}")
@@ -93,7 +105,7 @@ def _read_config(path) -> dict:
     if not path.exists():
         raise ValueError(f"config file {path} not found")
     try:
-        return json.loads(path.read_text())
+        return _object(json.loads(path.read_text()), "config")
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
 
@@ -102,8 +114,9 @@ def _resolve_run_config(path) -> dict:
     raw = _read_config(path)
     # derived fields are recomputed from the variant, so a previously written
     # run.json can be fed back in as a config
-    raw.get("network", {}).pop("layer_kinds", None)
-    raw.get("train", {}).get("reg", {}).pop("frozen_modes", None)
+    _object(raw.get("network", {}), "config.network").pop("layer_kinds", None)
+    train = _object(raw.get("train", {}), "config.train")
+    _object(train.get("reg", {}), "config.train.reg").pop("frozen_modes", None)
     config = _merge_defaults(raw, _RUN_DEFAULTS, "config")
     if config["variant"] not in VARIANTS:
         raise ValueError(
@@ -156,7 +169,9 @@ def _split_samples(dataset) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a non-finite float (an unbounded score) is written as null."""
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -255,17 +270,16 @@ def _drift_rows(dataset, test_samples, state, bases) -> list:
     n_weeks = (test_hi - test_lo) // week
     if train_hi < week or n_weeks < 1:
         raise ValueError("drift analysis needs at least one whole week in train and test")
-    report = M.kl_temporal_drift(
+    kls = M.kl_temporal_drift(
         series.values[:, train_hi - week : train_hi],
         series.values[:, test_lo : test_lo + n_weeks * week],
         series.interval_minutes,
     )
     rows = []
-    for entry in report.weeks:
-        lo = test_lo + entry.week_index * week
+    for k, kl in enumerate(kls):
+        lo = test_lo + k * week
         picked = [s for s in test_samples if lo <= s.target_index < lo + week]
-        rows.append((entry.week_index, entry.kl_divergence,
-                     T.evaluate_rmse(picked, bases, state.params)))
+        rows.append((k, kl, T.evaluate_rmse(picked, bases, state.params)))
     return rows
 
 

@@ -23,7 +23,6 @@ from .graphs import (
 )
 
 MINUTES_PER_DAY = 1440
-DEFAULT_START = "2017-03-01T00:00:00"
 
 # input window layout: three most recent intervals, same time yesterday,
 # same time last week
@@ -36,7 +35,6 @@ class DemandSeries:
 
     values: np.ndarray
     interval_minutes: int = 30
-    start_timestamp: str = DEFAULT_START
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

@@ -29,6 +29,7 @@ IDENTITY = "identity"
 # Smoothing floor under the square root of the prediction loss; keeps the
 # batch-RMSE objective differentiable at an exact fit.
 LOSS_SMOOTHING = 1e-12
+PREDICT_CHUNK = 256  # windows per forward call of predict_batches; fixes its reduction order
 
 
 @dataclass(frozen=True)
@@ -385,12 +386,12 @@ def batch_loss(x_batch, y_batch, bases, params: NetworkParams, reg: RegularizerC
     return loss, grads
 
 
-def predict_batches(samples, bases, params: NetworkParams, chunk_size: int = 256) -> np.ndarray:
-    """(N, V) predictions, chunked so training-time and restored-checkpoint
-    evaluation reduce in the same floating-point order."""
+def predict_batches(samples, bases, params: NetworkParams) -> np.ndarray:
+    """(N, V) predictions in chunks of ``PREDICT_CHUNK`` windows, so training-time
+    and restored-checkpoint evaluation reduce in the same floating-point order."""
     preds = []
-    for start in range(0, len(samples), chunk_size):
-        x_batch = np.stack([s.input for s in samples[start : start + chunk_size]])
+    for start in range(0, len(samples), PREDICT_CHUNK):
+        x_batch = np.stack([s.input for s in samples[start : start + PREDICT_CHUNK]])
         pred, _, _ = _forward_batch(x_batch, bases, params)
         preds.append(pred)
     return np.concatenate(preds, axis=0)
@@ -441,14 +442,6 @@ def mrgcn_forward(xs, bases, params: MrgcnLayerParams, activation: str = RELU):
     return _single_window_layer(xs, bases, params, activation, params.weights.shape[3])
 
 
-def fusion_forward(xs) -> np.ndarray:
-    """Modality-wise average of (V, 1) outputs."""
-    stacked = np.stack([np.asarray(x, dtype=float) for x in xs])
-    if stacked.ndim != 3 or stacked.shape[2] != 1:
-        raise ValueError("fusion expects single-feature (V, 1) inputs")
-    return stacked.mean(axis=0)
-
-
 def network_forward(x_window: np.ndarray, bases, params: NetworkParams) -> np.ndarray:
     """(V, T) input window to (V, 1) prediction; the raw window is replicated
     to every modality at the first layer."""
@@ -466,14 +459,3 @@ def network_forward_hidden(x_batch: np.ndarray, bases, params: NetworkParams):
     """Predictions plus each layer's post-activation features (M, B, V, f)."""
     pred, _, hidden = _forward_batch(x_batch, bases, params, keep_hidden=True)
     return pred, [h.transpose(0, 2, 1, 3) for h in hidden]
-
-
-def network_gradients(batch, bases, params: NetworkParams, reg: RegularizerConfig):
-    """Gradient of the total objective for a list of (window, target) pairs,
-    congruent to the trainable parameter structure."""
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    x_batch = np.stack([np.asarray(x, dtype=float) for x, _ in batch])
-    y_batch = np.stack([np.asarray(y, dtype=float).reshape(-1) for _, y in batch])
-    _, grads = batch_loss(x_batch, y_batch, bases, params, reg, with_grads=True)
-    return grads

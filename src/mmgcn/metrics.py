@@ -27,17 +27,6 @@ def rmse(predictions: np.ndarray, targets: np.ndarray) -> float:
     return float(np.sqrt(np.mean((predictions - targets) ** 2)))
 
 
-@dataclass(frozen=True)
-class DriftEntry:
-    week_index: int
-    kl_divergence: float
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    weeks: tuple
-
-
 def _weekly_patterns(values: np.ndarray, week: int) -> np.ndarray:
     """City-total demand per time-of-week bin, one smoothed probability
     vector per week."""
@@ -53,17 +42,13 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p * np.log(p / q)))
 
 
-def kl_temporal_drift(train_values, test_values, interval_minutes: int = 30) -> DriftReport:
-    """KL divergence from the last training week's temporal pattern to each
-    test week's pattern; both ``(V, T)`` arrays must cover whole weeks."""
+def kl_temporal_drift(train_values, test_values, interval_minutes: int = 30) -> list:
+    """Per test week, the KL divergence from the last training week's temporal
+    pattern to that week's; both ``(V, T)`` arrays must cover whole weeks."""
     week = 7 * (1440 // interval_minutes)
     train_patterns = _weekly_patterns(np.asarray(train_values, dtype=float), week)
     test_patterns = _weekly_patterns(np.asarray(test_values, dtype=float), week)
-    reference = train_patterns[-1]
-    entries = [
-        DriftEntry(k, _kl(reference, pattern)) for k, pattern in enumerate(test_patterns)
-    ]
-    return DriftReport(tuple(entries))
+    return [_kl(train_patterns[-1], pattern) for pattern in test_patterns]
 
 
 def feature_independence(activations: np.ndarray, include_diagonal: bool = True) -> float:

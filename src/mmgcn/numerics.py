@@ -52,17 +52,6 @@ def mode_products(tensor: np.ndarray, matrices: Sequence) -> np.ndarray:
     return image
 
 
-def all_mode_quadratic(tensor: np.ndarray, inverses: Sequence[np.ndarray]) -> float:
-    """Quadratic form ``vec(W)^T (kron of per-mode inverses) vec(W)``.
-
-    Applied as successive mode products, so the Kronecker product is never
-    materialized; cost is O(sum_k d_k * prod(dims)) instead of O(prod(dims)^2).
-    """
-    if len(inverses) != tensor.ndim:
-        raise ValueError(f"expected {tensor.ndim} inverses, got {len(inverses)}")
-    return float(np.vdot(tensor, mode_products(tensor, inverses)).real)
-
-
 def spd_inverse(matrix: np.ndarray, cond_limit: float = 1e12) -> np.ndarray:
     """Invert a symmetric positive definite matrix.
 

@@ -61,10 +61,6 @@ class RegularizerConfig:
         self.frozen_modes = tuple(self.frozen_modes)
         _mode_indices(self.frozen_modes)
 
-    @property
-    def frozen_flags(self) -> tuple:
-        return _mode_indices(self.frozen_modes)
-
 
 @dataclass
 class CovarianceSet:
@@ -91,13 +87,8 @@ class CovarianceSet:
 
     @classmethod
     def identity(cls, dims, frozen_modes=()) -> "CovarianceSet":
-        """Identity covariances; ``frozen_modes`` takes mode names ("I", "O",
-        "C", "M") or a 4-tuple of flags."""
-        if len(frozen_modes) == 4 and all(isinstance(x, bool) for x in frozen_modes):
-            flags = tuple(frozen_modes)
-        else:
-            flags = _mode_indices(frozen_modes)
-        return cls([np.eye(d) for d in dims], flags)
+        """Identity covariances, frozen in the named modes ("I", "O", "C", "M")."""
+        return cls([np.eye(d) for d in dims], _mode_indices(frozen_modes))
 
     @property
     def dims(self) -> tuple:

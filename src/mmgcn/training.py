@@ -18,7 +18,6 @@ from .numerics import MODE_NAMES, NumericalFailure
 from .regularization import CovarianceSet, RegularizerConfig, flip_flop_update, normalize_trace
 
 CHECKPOINT_VERSION = 1
-EVAL_CHUNK = 256
 
 
 @dataclass
@@ -83,16 +82,6 @@ def init_train_state(params: L.NetworkParams, seed: int) -> TrainState:
     )
 
 
-def total_loss(batch, params: L.NetworkParams, bases, reg: RegularizerConfig) -> float:
-    """Smoothed batch RMSE plus the group-lasso and tensor-normal terms."""
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    x_batch = np.stack([np.asarray(x, dtype=float) for x, _ in batch])
-    y_batch = np.stack([np.asarray(y, dtype=float).reshape(-1) for _, y in batch])
-    loss, _ = L.batch_loss(x_batch, y_batch, bases, params, reg, with_grads=False)
-    return loss
-
-
 def adam_step(state: TrainState, grads, cfg: TrainConfig) -> TrainState:
     """Standard bias-corrected Adam, in place; rejects non-finite gradients.
 
@@ -148,7 +137,7 @@ def _update_covariances(params: L.NetworkParams, reg: RegularizerConfig) -> None
 def evaluate_rmse(samples, bases, params: L.NetworkParams) -> float:
     """RMSE of the chunked predictions over ``samples``, reduced in the same
     floating-point order wherever a split is evaluated."""
-    predictions = L.predict_batches(samples, bases, params, EVAL_CHUNK)
+    predictions = L.predict_batches(samples, bases, params)
     return rmse(predictions, stack_targets(samples))
 
 
@@ -382,12 +371,19 @@ def _read_tensors(index, blob: bytes, expected: dict) -> dict:
     return by_name
 
 
+class _Fields(dict):
+    """A ``checkpoint.json`` object whose missing field raises ``ValueError``."""
+
+    def __missing__(self, key):
+        raise ValueError(f"checkpoint.json is missing field {key!r}")
+
+
 def load_checkpoint(out_dir) -> TrainState:
-    """Restore a checkpoint; a blob or index that does not match the network
-    it describes raises ``ValueError`` naming the offending tensor, and a
-    frozen covariance mode that is not exactly ``I`` one naming the mode."""
+    """Restore a checkpoint; a missing manifest field, a blob or index that
+    does not match the network it describes, or a frozen covariance mode that
+    is not exactly ``I`` raises ``ValueError`` naming the field, tensor or mode."""
     out = Path(out_dir)
-    manifest = json.loads((out / "checkpoint.json").read_text())
+    manifest = json.loads((out / "checkpoint.json").read_text(), object_hook=_Fields)
     if manifest["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {manifest['version']}")
     blob = (out / "checkpoint.bin").read_bytes()

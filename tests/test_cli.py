@@ -142,13 +142,21 @@ class TestEvaluate:
         )
 
     def test_truncated_checkpoint_exits_2(self, workspace, tmp_path, capsys):
-        run = tmp_path / "run"
-        shutil.copytree(workspace["run"], run)
-        blob = (run / "checkpoint.bin").read_bytes()
-        (run / "checkpoint.bin").write_bytes(blob[: len(blob) // 2])
-        assert dispatch(["evaluate", "--config", str(workspace["config"]),
-                         "--out", str(run)]) == 2
-        assert "ends inside tensor" in capsys.readouterr().err
+        # a blob cut in half, and a checkpoint.json without its scalars
+        for damaged, message in (("checkpoint.bin", "ends inside tensor"),
+                                 ("checkpoint.json", "missing field 'scalars'")):
+            run = tmp_path / damaged
+            shutil.copytree(workspace["run"], run)
+            if damaged == "checkpoint.bin":
+                blob = (run / damaged).read_bytes()
+                (run / damaged).write_bytes(blob[: len(blob) // 2])
+            else:
+                manifest = json.loads((run / damaged).read_text())
+                del manifest["scalars"]
+                write_json(run / damaged, manifest)
+            assert dispatch(["evaluate", "--config", str(workspace["config"]),
+                             "--out", str(run)]) == 2
+            assert message in capsys.readouterr().err
 
 
 class TestPredict:
@@ -202,7 +210,7 @@ class TestAnalyze:
         assert (run / "feature_independence.csv").exists()
 
 
-def run_pipeline(root: Path) -> None:
+def run_pipeline(root: Path, train_seed: int = 0) -> None:
     """synth, train, evaluate, predict and analyze on a tiny city under ``root``."""
     root.mkdir()
     synth = write_json(root / "synth.json", {
@@ -212,7 +220,7 @@ def run_pipeline(root: Path) -> None:
         "manifest": "data/manifest.json",
         "variant": "GGCN_plus_MRGCN_4S",
         "network": {"output_dims": [4, 1], "cheb_degree": 2},
-        "train": {"learning_rate": 1e-2, "max_epochs": 2, "seed": 0},
+        "train": {"learning_rate": 1e-2, "max_epochs": 2, "seed": train_seed},
     })
     common = ["--config", str(config), "--out", str(root / "run")]
     assert dispatch(["synth", "--config", str(synth), "--out", str(root / "data")]) == 0
@@ -232,6 +240,38 @@ def test_pipeline_artifacts_bit_identical(tmp_path):
     assert Path("run/relationship_layer2.csv") in names
     for name in names:
         assert (first / name).read_bytes() == (work / name).read_bytes(), name
+
+
+def test_json_artifacts_are_strict(tmp_path):
+    # with train seed 3, every layer-1 feature of the POI modality is zero, so
+    # its independence score (and the layer mean) is unbounded
+    with pytest.warns(UserWarning, match="independence is unbounded"):
+        run_pipeline(tmp_path / "work", train_seed=3)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    for path in (tmp_path / "work").rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=reject)
+    run = tmp_path / "work" / "run"
+    layer = json.loads((run / "feature_independence.json").read_text())["layers"][0]
+    assert layer["per_modality"]["poi_similarity"] is None
+    assert layer["mean"] is None
+    assert "1,poi_similarity,inf" in (run / "feature_independence.csv").read_text()
+
+
+@pytest.mark.parametrize("command,payload,field", [
+    ("train", {"network": 5}, "config.network"),
+    ("train", [], "config"),
+    ("train", {"train": {"reg": 3}}, "config.train.reg"),
+    ("train", {"train": {"batch_size": "x"}}, "config.train.batch_size"),
+    ("synth", {"seed": "a"}, "config.seed"),
+], ids=["network-number", "top-level-list", "reg-number", "batch-size-string", "seed-string"])
+def test_malformed_config_exits_2_naming_field(tmp_path, capsys, command, payload, field):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(payload))
+    assert dispatch([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
 
 
 def test_echoed_defaults_match_dataclasses(tmp_path):

@@ -7,7 +7,7 @@ layer takes that path, then checks
 
 - ``ggcn_forward`` / ``mrgcn_forward``, the batched hidden features and the
   prediction against a per-window reference built from ``cheb_conv`` alone;
-- ``network_gradients`` against central finite differences at the
+- ``batch_loss`` gradients against central finite differences at the
   acceptance-criterion-1 bound.
 
 The middle layer is never the first, so its input gradient is computed and
@@ -126,8 +126,7 @@ def test_gradients_match_finite_differences(kind, propagate_first, data):
             if spec.activation == layers.RELU:
                 assume(np.abs(z).min() > KINK_MARGIN)
     reg = RegularizerConfig(alpha_low=1e-2, alpha_high=1e-2)
-    batch = [(xw, yw[:, None]) for xw, yw in zip(x, y)]
-    analytic = layers.pack_grads(layers.network_gradients(batch, bases, params, reg))
+    analytic = layers.pack_grads(layers.batch_loss(x, y, bases, params, reg, with_grads=True)[1])
 
     def objective(flat):
         candidate = layers.unpack_params(params, flat)

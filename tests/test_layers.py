@@ -128,26 +128,6 @@ class TestMrgcnForward:
         np.testing.assert_allclose(out[0], expected, atol=1e-14)
 
 
-class TestFusion:
-    def test_identical_inputs(self):
-        x = np.array([[1.0], [2.0]])
-        np.testing.assert_array_equal(layers.fusion_forward([x, x, x]), x)
-
-    def test_two_modality_mean(self):
-        a = np.array([[1.0], [3.0]])
-        b = np.array([[3.0], [5.0]])
-        np.testing.assert_array_equal(layers.fusion_forward([a, b]), [[2.0], [4.0]])
-
-    def test_zero_modality_scales(self):
-        a = np.array([[3.0], [6.0]])
-        out = layers.fusion_forward([a, a, np.zeros((2, 1))])
-        np.testing.assert_allclose(out, a * 2.0 / 3.0)
-
-    def test_rejects_wide_features(self):
-        with pytest.raises(ValueError):
-            layers.fusion_forward([np.zeros((2, 2)), np.zeros((2, 2))])
-
-
 class TestNetworkForward:
     def test_zero_params_zero_prediction(self):
         _, bases, _, params = tiny_network(kinds=("ggcn", "mrgcn"), dims=(3, 1))
@@ -220,6 +200,8 @@ class TestNetworkForward:
 
 
 class TestNetworkGradients:
+    """Gradients of ``batch_loss``, congruent to the trainable parameters."""
+
     def _relative_error(self, analytic, numeric):
         return np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
 
@@ -228,8 +210,8 @@ class TestNetworkGradients:
         for layer in params.layers:
             layer.weights[:] = 0.0
         reg = RegularizerConfig(alpha_low=0.0, alpha_high=0.0)
-        batch = [(np.ones((3, 5)), np.zeros((3, 1)))]
-        grads = layers.network_gradients(batch, bases, params, reg)
+        x, y = np.ones((1, 3, 5)), np.zeros((1, 3))
+        _, grads = layers.batch_loss(x, y, bases, params, reg, with_grads=True)
         for g in grads:
             np.testing.assert_array_equal(g.weights, np.zeros_like(g.weights))
             np.testing.assert_array_equal(g.biases, np.zeros_like(g.biases))
@@ -246,13 +228,13 @@ class TestNetworkGradients:
                 (rng.uniform(0.0, 1.0, (3, 5)), rng.uniform(0.0, 1.0, (3, 1)))
                 for _ in range(2)
             ]
-            grads = layers.network_gradients(batch, bases, params, reg)
+            x = np.stack([a for a, _ in batch])
+            y = np.stack([t[:, 0] for _, t in batch])
+            _, grads = layers.batch_loss(x, y, bases, params, reg, with_grads=True)
             analytic = layers.pack_grads(grads)
 
             def objective(flat):
                 candidate = layers.unpack_params(params, flat)
-                x = np.stack([x for x, _ in batch])
-                y = np.stack([t[:, 0] for _, t in batch])
                 loss, _ = layers.batch_loss(x, y, bases, candidate, reg, with_grads=False)
                 return loss
 
@@ -267,15 +249,17 @@ class TestNetworkGradients:
         params = layers.init_network_params(config, 0)
         params.layers[0].weights[:] = 0.5
         reg = RegularizerConfig(alpha_low=0.0, alpha_high=0.0)
-        x = np.array([[1.0]])
+        x = np.array([[[1.0]]])
         for target, sign in ((0.2, 1.0), (1.0, -1.0), (2.0, -1.0)):
-            grads = layers.network_gradients([(x, np.array([[target]]))], basis, params, reg)
+            _, grads = layers.batch_loss(x, np.array([[target]]), basis, params, reg,
+                                         with_grads=True)
             assert np.sign(grads[0].weights.reshape(-1)[0]) == sign
 
     def test_empty_batch_rejected(self):
         _, bases, _, params = tiny_network()
-        with pytest.raises(ValueError):
-            layers.network_gradients([], bases, params, RegularizerConfig())
+        with pytest.raises(ValueError, match="nonempty"):
+            layers.batch_loss(np.zeros((0, 3, 5)), np.zeros((0, 3)), bases, params,
+                              RegularizerConfig(), with_grads=True)
 
 
 class TestRankDiagnostic:
@@ -355,12 +339,13 @@ class TestPerVertexBias:
         rng = np.random.default_rng(12)
         reg = RegularizerConfig(alpha_low=1e-2, alpha_high=1e-2)
         batch = [(rng.uniform(size=(3, 4)), rng.uniform(size=(3, 1))) for _ in range(2)]
-        analytic = layers.pack_grads(layers.network_gradients(batch, bases, params, reg))
+        x = np.stack([a for a, _ in batch])
+        y = np.stack([b[:, 0] for _, b in batch])
+        analytic = layers.pack_grads(
+            layers.batch_loss(x, y, bases, params, reg, with_grads=True)[1])
 
         def objective(flat):
             candidate = layers.unpack_params(params, flat)
-            x = np.stack([a for a, _ in batch])
-            y = np.stack([b[:, 0] for _, b in batch])
             return layers.batch_loss(x, y, bases, candidate, reg, with_grads=False)[0]
 
         numeric = finite_diff_gradient(objective, layers.pack_params(params), 1e-5)

@@ -5,7 +5,6 @@ import pytest
 
 from mmgcn.numerics import (
     NumericalFailure,
-    all_mode_quadratic,
     finite_diff_gradient,
     mode_product,
     mode_unfold,
@@ -55,42 +54,6 @@ class TestModeUnfold:
             mode_unfold(t, 4)
         with pytest.raises(ValueError):
             mode_refold(np.zeros((1, 1)), (1, 1, 1, 1), -1)
-
-
-class TestAllModeQuadratic:
-    def test_identity_inverses_give_squared_norm(self):
-        rng = np.random.default_rng(2)
-        t = rng.normal(size=(2, 2, 2, 2))
-        eyes = [np.eye(2)] * 4
-        assert all_mode_quadratic(t, eyes) == pytest.approx(np.sum(t**2))
-
-    def test_zero_tensor(self):
-        assert all_mode_quadratic(np.zeros((2, 1, 2, 1)), [np.eye(2), np.eye(1), np.eye(2), np.eye(1)]) == 0.0
-
-    def test_against_explicit_kronecker(self):
-        rng = np.random.default_rng(3)
-        for dims in [(2, 2, 2, 2), (3, 1, 3, 3), (1, 3, 3, 3), (2, 3, 2, 1)]:
-            t = rng.normal(size=dims)
-            inverses = [np.linalg.inv(random_spd(rng, d)) for d in dims]
-            kron = inverses[0]
-            for inv in inverses[1:]:
-                kron = np.kron(kron, inv)
-            vec = t.reshape(-1)
-            expected = float(vec @ kron @ vec)
-            got = all_mode_quadratic(t, inverses)
-            assert got == pytest.approx(expected, rel=1e-8)
-
-    def test_quadratic_scaling(self):
-        rng = np.random.default_rng(4)
-        t = rng.normal(size=(2, 3, 2, 2))
-        inverses = [np.linalg.inv(random_spd(rng, d)) for d in t.shape]
-        base = all_mode_quadratic(t, inverses)
-        assert all_mode_quadratic(2.5 * t, inverses) == pytest.approx(2.5**2 * base, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        t = np.zeros((2, 2, 2, 2))
-        with pytest.raises(ValueError):
-            all_mode_quadratic(t, [np.eye(2), np.eye(3), np.eye(2), np.eye(2)])
 
 
 class TestSpdInverse:

@@ -29,13 +29,17 @@ def small_net(kinds=("ggcn", "mrgcn"), dims=(8, 1), degree=2):
 
 
 class TestTotalLoss:
+    """``layers.batch_loss``: smoothed batch RMSE plus the group-lasso and
+    tensor-normal terms."""
+
     def test_smoothing_floor_at_exact_fit(self):
         _, bases, _, params = tiny_network(kinds=("ggcn", "mrgcn"), dims=(3, 1))
         for layer in params.layers:
             layer.weights[:] = 0.0
         reg = RegularizerConfig(alpha_low=0.0, alpha_high=0.0)
-        batch = [(np.ones((3, 5)), np.zeros((3, 1)))]
-        assert T.total_loss(batch, params, bases, reg) == pytest.approx(1e-6)
+        x, y = np.ones((1, 3, 5)), np.zeros((1, 3))
+        loss, _ = L.batch_loss(x, y, bases, params, reg, with_grads=False)
+        assert loss == pytest.approx(1e-6)
 
     def test_equals_batch_rmse_without_regularizers(self):
         rng = np.random.default_rng(0)
@@ -44,13 +48,11 @@ class TestTotalLoss:
         batch = [
             (rng.uniform(size=(3, 5)), rng.uniform(size=(3, 1))) for _ in range(4)
         ]
-        predictions = np.stack(
-            [L.network_forward(x, bases, params)[:, 0] for x, _ in batch]
-        )
-        targets = np.stack([y[:, 0] for _, y in batch])
-        assert T.total_loss(batch, params, bases, reg) == pytest.approx(
-            M.rmse(predictions, targets), abs=1e-9
-        )
+        x = np.stack([a for a, _ in batch])
+        targets = np.stack([b[:, 0] for _, b in batch])
+        predictions = np.stack([L.network_forward(a, bases, params)[:, 0] for a in x])
+        loss, _ = L.batch_loss(x, targets, bases, params, reg, with_grads=False)
+        assert loss == pytest.approx(M.rmse(predictions, targets), abs=1e-9)
 
     def test_scalar_example(self):
         _, bases, _, params = tiny_network(
@@ -58,8 +60,9 @@ class TestTotalLoss:
         )
         params.layers[0].weights[:] = 3.0  # prediction = 3 * input
         reg = RegularizerConfig(alpha_low=0.0, alpha_high=0.0)
-        batch = [(np.array([[1.0]]), np.array([[1.0]]))]
-        assert T.total_loss(batch, params, bases, reg) == pytest.approx(2.0, abs=1e-9)
+        x, y = np.array([[[1.0]]]), np.array([[1.0]])
+        loss, _ = L.batch_loss(x, y, bases, params, reg, with_grads=False)
+        assert loss == pytest.approx(2.0, abs=1e-9)
 
     def test_decomposes_into_public_terms(self):
         from mmgcn.regularization import group_lasso, tensor_normal_loss
@@ -68,19 +71,24 @@ class TestTotalLoss:
         _, bases, _, params = tiny_network(kinds=("ggcn", "mrgcn"), dims=(3, 1))
         reg = RegularizerConfig(alpha_low=1e-3, alpha_high=1e-2)
         batch = [(rng.uniform(size=(3, 5)), rng.uniform(size=(3, 1))) for _ in range(3)]
-        base = T.total_loss(batch, params, bases,
-                            RegularizerConfig(alpha_low=0.0, alpha_high=0.0))
+        x = np.stack([a for a, _ in batch])
+        y = np.stack([b[:, 0] for _, b in batch])
+        base, _ = L.batch_loss(x, y, bases, params,
+                               RegularizerConfig(alpha_low=0.0, alpha_high=0.0),
+                               with_grads=False)
         lasso, _ = group_lasso(params.layers[0].weights, reg.alpha_intra)
         prior, _ = tensor_normal_loss(
             params.layers[1].weights, params.layers[1].covariances
         )
         expected = base + reg.alpha_low * lasso + reg.alpha_high * prior
-        assert T.total_loss(batch, params, bases, reg) == pytest.approx(expected, rel=1e-12)
+        loss, _ = L.batch_loss(x, y, bases, params, reg, with_grads=False)
+        assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_empty_batch(self):
         _, bases, _, params = tiny_network()
-        with pytest.raises(ValueError):
-            T.total_loss([], params, bases, RegularizerConfig())
+        with pytest.raises(ValueError, match="nonempty"):
+            L.batch_loss(np.zeros((0, 3, 5)), np.zeros((0, 3)), bases, params,
+                         RegularizerConfig(), with_grads=False)
 
 
 class TestAdamStep:
@@ -224,7 +232,7 @@ class TestTrain:
             ds.graphs, 2
         )
         recomputed = M.rmse(
-            L.predict_batches(splits["val"], bases, result.state.params, T.EVAL_CHUNK),
+            L.predict_batches(splits["val"], bases, result.state.params),
             M.stack_targets(splits["val"]),
         )
         assert recomputed == pytest.approx(best, abs=1e-12)
@@ -277,9 +285,9 @@ class TestTrain:
         real = L.predict_batches
         calls = []
 
-        def nan_on_second_epoch(samples, bases, params, chunk_size):
+        def nan_on_second_epoch(samples, bases, params):
             calls.append(1)
-            preds = real(samples, bases, params, chunk_size)
+            preds = real(samples, bases, params)
             # one call per epoch: only the validation split is evaluated
             return preds * np.nan if len(calls) > 1 else preds
 
@@ -412,6 +420,17 @@ class TestCheckpoint:
         edit(manifest["tensor_index"])
         path.write_text(json.dumps(manifest))
 
+    @pytest.mark.parametrize("field", ["scalars", "kind", "offset"])
+    def test_missing_manifest_field_named(self, saved, field):
+        path = saved / "checkpoint.json"
+        manifest = json.loads(path.read_text())
+        holder = {"scalars": manifest, "kind": manifest["net_config"]["layers"][1],
+                  "offset": manifest["tensor_index"][2]}[field]
+        del holder[field]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"checkpoint.json is missing field '{field}'"):
+            T.load_checkpoint(saved)
+
     def test_truncated_blob_names_tensor(self, saved):
         blob = (saved / "checkpoint.bin").read_bytes()
         (saved / "checkpoint.bin").write_bytes(blob[:-8])
@@ -453,7 +472,7 @@ class TestCheckpoint:
         restored = T.load_checkpoint(tmp_path)
         bases = graph_bases(ds.graphs, 2)
         val_rmse = M.rmse(
-            L.predict_batches(splits["val"], bases, restored.params, T.EVAL_CHUNK),
+            L.predict_batches(splits["val"], bases, restored.params),
             M.stack_targets(splits["val"]),
         )
         assert val_rmse == pytest.approx(result.state.best_val_rmse, abs=1e-9)
