@@ -15,6 +15,7 @@ import sys
 from dataclasses import MISSING, asdict, fields
 from itertools import combinations
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -43,16 +44,17 @@ VARIANTS = {
 
 
 def _field_defaults(cls, skip=()) -> dict:
-    """A dataclass's defaults by field name; a field without one maps to
-    ``None``, which ``_merge_defaults`` treats as required."""
-    return {f.name: None if f.default is MISSING else f.default
+    """A dataclass's defaults by field name; a field without one maps to its
+    annotated type, which ``_merge_defaults`` treats as required."""
+    types = get_type_hints(cls)
+    return {f.name: types[f.name] if f.default is MISSING else f.default
             for f in fields(cls) if f.name not in skip}
 
 
 # ``train.reg`` is RegularizerConfig's own section; its ``frozen_modes`` comes
 # from the variant
 _RUN_DEFAULTS = {
-    "manifest": None,
+    "manifest": str,
     "variant": "GGCN_plus_MRGCN_2S",
     "network": {
         "output_dims": [32, 64, 32, 1],
@@ -79,7 +81,8 @@ def _object(section, context: str) -> dict:
 
 
 def _merge_defaults(config: dict, defaults: dict, context: str) -> dict:
-    """``config`` over ``defaults``; a value has its default's JSON type, where
+    """``config`` over ``defaults``, where a default that is a type marks a
+    required field of that type.  A value has its default's JSON type, where
     an integer is also a number and a boolean is never one."""
     resolved = {}
     for key, default in defaults.items():
@@ -87,15 +90,17 @@ def _merge_defaults(config: dict, defaults: dict, context: str) -> dict:
         if isinstance(default, dict):
             resolved[key] = _merge_defaults(_object(config.get(key, {}), name), default, name)
             continue
-        resolved[key] = value = config.get(key, default)
-        allowed = (float, int) if type(default) is float else (type(default),)
-        if default is not None and type(value) not in allowed:
-            raise ValueError(f"config field {name} must be {type(default).__name__}, got {value!r}")
+        required = isinstance(default, type)
+        kind = default if required else type(default)
+        resolved[key] = value = config.get(key, None if required else default)
+        allowed = (float, int) if kind is float else (kind,)
+        if not (required and value is None) and type(value) not in allowed:
+            raise ValueError(f"config field {name} must be {kind.__name__}, got {value!r}")
     unknown = set(config) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config field {context}.{sorted(unknown)[0]}")
     for key, value in resolved.items():
-        if value is None and defaults[key] is None:
+        if value is None:
             raise ValueError(f"missing required config field {context}.{key}")
     return resolved
 

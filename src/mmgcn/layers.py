@@ -190,12 +190,12 @@ def pack_grads(grads) -> np.ndarray:
 # forward / backward cores
 #
 # Activations are vertex-major, (M, V, B, f): modality i's whole batch is one
-# contiguous (V, B*f) matrix, so propagating it over every degree of its
-# basis is one product with the basis's row or column stack.  Both layer
-# kinds are a per-source polynomial convolution sum_a B_a H W_a.  A GGCN
-# source feeds all M targets (g = M*f2, and all sources add into one output
-# group); an MRGCN source only its own (g = f2, one group per source).
-# Source i adds into group i % groups.
+# contiguous (V, B*f) matrix, which its basis spreads over every degree or
+# gathers back (``LaplacianBasis.spread``/``gather``: one product with a dense
+# stack, or K sparse products).  Both layer kinds are a per-source polynomial
+# convolution sum_a B_a H W_a.  A GGCN source feeds all M targets (g = M*f2,
+# and all sources add into one output group); an MRGCN source only its own
+# (g = f2, one group per source).  Source i adds into group i % groups.
 #
 # Propagated stacks are degree-minor, (V, B, K+1, f), so that a batch
 # against a source's weights is one 2-D product: ((K+1)*f1, g) weights after
@@ -204,7 +204,7 @@ def pack_grads(grads) -> np.ndarray:
 def _propagates_input(f1: int, g: int) -> bool:
     """Propagate the input and then contract when it is no wider than the
     contracted output; otherwise contract first and propagate the output.
-    Either way the K*V x V stacks multiply the narrower side."""
+    Either way the basis propagates the narrower side."""
     return f1 <= g
 
 
@@ -215,24 +215,6 @@ def _source_major(weights: np.ndarray, propagate_first: bool) -> np.ndarray:
     if weights.ndim == 5:
         return weights.transpose((0, 2, 3, 1, 4) if propagate_first else (0, 3, 2, 1, 4))
     return weights.transpose((3, 2, 0, 1) if propagate_first else (3, 0, 2, 1))
-
-
-def _spread(x: np.ndarray, stack: np.ndarray, out: np.ndarray) -> None:
-    """Write x and every (K*V, V) ``stack`` term applied to it into the
-    degree-minor out (V, B, K+1, f), for x (V, B, f)."""
-    v, b, f = x.shape
-    out[:, :, 0] = x
-    out[:, :, 1:] = (stack @ x.reshape(v, b * f)).reshape(-1, v, b, f).transpose(1, 2, 0, 3)
-
-
-def _gather(y: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """y[:, :, 0] plus every (V, K*V) ``stack`` term applied to its degree of
-    the degree-minor y (V, B, K+1, f); returns (V*B, f)."""
-    v, b, kp1, f = y.shape
-    rows = np.ascontiguousarray(y[:, :, 1:].transpose(2, 0, 1, 3)).reshape((kp1 - 1) * v, b * f)
-    out = (stack @ rows).reshape(v, b, f)
-    out += y[:, :, 0]
-    return out.reshape(v * b, f)
 
 
 def _bias_view(biases: np.ndarray) -> np.ndarray:
@@ -260,7 +242,7 @@ def _layer_forward(h, bases, layer, activation: str, keep_cache: bool):
     if first:
         operand = np.empty((v, b, m, kp1, f1))
         for i in range(m):
-            _spread(h[i], bases[i].row_stack, operand[:, :, i])
+            bases[i].spread(h[i], operand[:, :, i])
         z = np.matmul(operand.reshape(v * b, groups, -1).transpose(1, 0, 2),
                       w.reshape(groups, -1, g))
     else:
@@ -268,7 +250,7 @@ def _layer_forward(h, bases, layer, activation: str, keep_cache: bool):
         z = np.zeros((groups, v * b, g))
         for i in range(m):
             q = h[i].reshape(v * b, f1) @ w[i]
-            z[i % groups] += _gather(q.reshape(v, b, kp1, g), bases[i].col_stack)
+            z[i % groups] += bases[i].gather(q.reshape(v, b, kp1, g))
     z = np.ascontiguousarray(
         z.reshape(groups, v, b, -1, f2).transpose(0, 3, 1, 2, 4)).reshape(m, v, b, f2)
     z += _bias_view(layer.biases)
@@ -302,11 +284,11 @@ def _layer_backward(d_out, cache, bases, layer, need_dh: bool):
         if need_dh:  # one source's propagated gradient at a time
             for i in range(m):
                 dp = (dz[i % groups] @ w[i].T).reshape(v, b, kp1, f1)
-                dh[i] = _gather(dp, bases[i].row_stack.T).reshape(v, b, f1)
+                dh[i] = bases[i].gather(dp, transpose=True).reshape(v, b, f1)
     else:
         dq = np.empty((v, b, kp1, g))
         for i in range(m):
-            _spread(dz[i % groups].reshape(v, b, g), bases[i].col_stack.T, dq)
+            bases[i].spread(dz[i % groups].reshape(v, b, g), dq, transpose=True)
             np.matmul(operand[i].reshape(v * b, f1).T, dq.reshape(v * b, -1), out=d_mats[i])
             if need_dh:
                 dh[i] = (dq.reshape(v * b, -1) @ w[i].T).reshape(v, b, f1)

@@ -30,6 +30,16 @@ def random_graph(rng, n, density=0.5, modality="custom"):
     return graphs.RelationGraph(modality, weights + weights.T)
 
 
+def ring_with_chords(rng, n, chords, modality="custom"):
+    """A weighted n-cycle plus ``chords`` random extra edges."""
+    arcs = np.zeros((n, n))
+    arcs[np.arange(n), (np.arange(n) + 1) % n] = rng.uniform(0.5, 2.0, n)
+    for _ in range(chords):
+        i, j = rng.choice(n, 2, replace=False)
+        arcs[i, j] = rng.uniform(0.5, 2.0)
+    return graphs.RelationGraph(modality, np.maximum(arcs, arcs.T))
+
+
 def tiny_network(rng_seed=0, vertices=3, modalities=2, degree=1, kinds=("ggcn", "mrgcn"),
                  dims=(3, 1), input_dim=5, graph_seed=11):
     """Small random problem instance: graphs, bases, config, params."""

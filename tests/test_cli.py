@@ -266,7 +266,11 @@ def test_json_artifacts_are_strict(tmp_path):
     ("train", {"train": {"reg": 3}}, "config.train.reg"),
     ("train", {"train": {"batch_size": "x"}}, "config.train.batch_size"),
     ("synth", {"seed": "a"}, "config.seed"),
-], ids=["network-number", "top-level-list", "reg-number", "batch-size-string", "seed-string"])
+    ("synth", {"grid_rows": "a", "grid_cols": 2, "weeks": 3}, "config.grid_rows"),
+    ("synth", {"grid_rows": 2.5, "grid_cols": 2, "weeks": 3}, "config.grid_rows"),
+    ("train", {"manifest": 5}, "config.manifest"),
+], ids=["network-number", "top-level-list", "reg-number", "batch-size-string", "seed-string",
+        "grid-rows-string", "grid-rows-float", "manifest-number"])
 def test_malformed_config_exits_2_naming_field(tmp_path, capsys, command, payload, field):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(payload))

@@ -1,21 +1,34 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mmgcn.data import SynthConfig, generate_synthetic
 from mmgcn.graphs import (
     CHEBYSHEV_BASIS,
+    NEIGHBORHOOD,
+    POI_SIMILARITY,
+    POWER_BASIS,
+    ROAD_CONNECTIVITY,
     RelationGraph,
     build_neighborhood,
     build_poi_similarity,
     build_road_connectivity,
     compare_graphs,
+    graph_bases,
     graph_density,
     laplacian_basis,
     normalized_laplacian,
 )
 
-from conftest import random_graph
+from conftest import random_graph, ring_with_chords
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestRelationGraph:
@@ -180,6 +193,79 @@ class TestLaplacianBasis:
     def test_negative_degree(self):
         with pytest.raises(ValueError):
             laplacian_basis(np.eye(2), -1)
+
+    def test_rejects_asymmetric_step(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            laplacian_basis(np.array([[1.0, -0.5], [-0.25, 1.0]]), 1)
+
+
+class TestBasisRepresentation:
+    # On the 6x6 city the road graph's L has 72 nonzeros and L - I, without
+    # the diagonal, 36: under the 36^2/25 = 51.84 limit, so only the Chebyshev
+    # basis of that graph is sparse.
+    @pytest.mark.parametrize("side,kind,sparse", [
+        (16, POWER_BASIS, {NEIGHBORHOOD: True, POI_SIMILARITY: False, ROAD_CONNECTIVITY: True}),
+        (16, CHEBYSHEV_BASIS,
+         {NEIGHBORHOOD: True, POI_SIMILARITY: False, ROAD_CONNECTIVITY: True}),
+        (6, POWER_BASIS, {NEIGHBORHOOD: False, POI_SIMILARITY: False, ROAD_CONNECTIVITY: False}),
+        (6, CHEBYSHEV_BASIS,
+         {NEIGHBORHOOD: False, POI_SIMILARITY: False, ROAD_CONNECTIVITY: True}),
+    ], ids=["16x16-power", "16x16-chebyshev", "6x6-power", "6x6-chebyshev"])
+    def test_synthetic_city(self, side, kind, sparse):
+        graph_list = generate_synthetic(SynthConfig(side, side, 2, seed=5)).graphs
+        bases = graph_bases(graph_list, 2, kind)
+        assert {g.modality_id: b.sparse for g, b in zip(graph_list, bases)} == sparse
+
+    @pytest.mark.parametrize("kind", [POWER_BASIS, CHEBYSHEV_BASIS])
+    @pytest.mark.parametrize("sparse", [True, False])
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_spread_and_gather_match_powers(self, sparse, kind, degree):
+        rng = np.random.default_rng(degree)
+        graph = (ring_with_chords(rng, 90, 3) if sparse
+                 else random_graph(rng, 90, density=0.3))
+        basis = laplacian_basis(normalized_laplacian(graph), degree, kind)
+        assert basis.sparse == sparse
+        x = rng.normal(size=(90, 2, 3))
+        y = rng.normal(size=(90, 2, degree + 1, 3))
+        spread_out = np.empty_like(y)
+        expected_gather = sum(p @ y[:, :, a].reshape(90, 6) for a, p in enumerate(basis.powers))
+        for transpose in (False, True):
+            basis.spread(x, spread_out, transpose)
+            for a, power in enumerate(basis.powers):
+                np.testing.assert_allclose(spread_out[:, :, a].reshape(90, 6),
+                                           power @ x.reshape(90, 6), rtol=1e-12, atol=1e-12)
+            gathered = basis.gather(y, transpose)
+            np.testing.assert_allclose(gathered.reshape(90, 6), expected_gather,
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_scipy_imported_only_for_sparse_graphs(self):
+        # a 6x6 city keeps every basis dense and never loads scipy.sparse; a
+        # 16x16 city loads it for its sparse bases
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from mmgcn import data as D, graphs as G, layers as L
+            from mmgcn.regularization import RegularizerConfig
+
+            ds = D.generate_synthetic(D.SynthConfig(6, 6, 2, seed=1))
+            bases = G.graph_bases(ds.graphs, 4)
+            samples = D.make_windows(ds.series)[:4]
+            x = np.stack([s.input for s in samples])
+            y = np.stack([s.target[:, 0] for s in samples])
+            specs = L.make_layer_specs([L.GGCN, L.MRGCN], x.shape[2], [4, 1])
+            params = L.init_network_params(L.NetworkConfig(3, 4, specs), 0)
+            L.batch_loss(x, y, bases, params, RegularizerConfig(), with_grads=True)
+            assert "scipy.sparse" not in sys.modules, "6x6"
+            city = D.generate_synthetic(D.SynthConfig(16, 16, 2, seed=1))
+            G.graph_bases(city.graphs, 4)
+            assert "scipy.sparse" in sys.modules, "16x16"
+        """)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(ROOT / "src")] + ([path] if path else []))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-4000:]
 
 
 class TestGraphStatistics:

@@ -11,7 +11,9 @@ layer takes that path, then checks
   acceptance-criterion-1 bound.
 
 The middle layer is never the first, so its input gradient is computed and
-flows into the layer below.
+flows into the layer below.  The ``test_sparse_*`` twins draw ring graphs
+with a few chords on 80-120 vertices, sparse enough that every basis takes
+the CSR path, and check the same properties there.
 """
 
 import numpy as np
@@ -23,7 +25,7 @@ from mmgcn import graphs, layers
 from mmgcn.numerics import finite_diff_gradient
 from mmgcn.regularization import RegularizerConfig
 
-from conftest import random_graph
+from conftest import random_graph, ring_with_chords
 
 GRAD_RTOL = 1e-4  # acceptance criterion 1
 FD_STEP = 1e-5
@@ -40,14 +42,15 @@ PATHS = [
 ]
 
 
-def draw_problem(data, kind, propagate_first):
+def draw_problem(data, kind, propagate_first, sparse=False):
     m = data.draw(st.integers(1, 3), label="modalities")
-    v = data.draw(st.integers(1, 5), label="vertices")
-    b = data.draw(st.integers(1, 3), label="batch")
-    k = data.draw(st.integers(0, 2), label="degree")
+    v = data.draw(st.integers(80, 120) if sparse else st.integers(1, 5), label="vertices")
+    b = data.draw(st.integers(1, 1 if sparse else 3), label="batch")
+    k = data.draw(st.integers(0, 3 if sparse else 2), label="degree")
     basis_kind = data.draw(st.sampled_from([graphs.POWER_BASIS, graphs.CHEBYSHEV_BASIS]))
-    per_vertex_bias = data.draw(st.booleans(), label="per_vertex_bias")
-    t = data.draw(st.integers(1, 3), label="window")
+    # per-vertex biases would multiply the finite-difference work by V
+    per_vertex_bias = not sparse and data.draw(st.booleans(), label="per_vertex_bias")
+    t = data.draw(st.integers(1, 2 if sparse else 3), label="window")
     f2 = data.draw(st.integers(1, 2), label="middle out_dim")
     g = f2 * m if kind == layers.GGCN else f2
     f1 = data.draw(st.integers(1, g) if propagate_first else st.integers(g + 1, g + 2),
@@ -57,8 +60,14 @@ def draw_problem(data, kind, propagate_first):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
 
     rng = np.random.default_rng(seed)
-    graph_list = [random_graph(rng, v, density=0.7, modality=f"custom{i}") for i in range(m)]
+    if sparse:
+        chords = data.draw(st.integers(0, 4), label="chords")
+        graph_list = [ring_with_chords(rng, v, chords, f"custom{i}") for i in range(m)]
+    else:
+        graph_list = [random_graph(rng, v, density=0.7, modality=f"custom{i}") for i in range(m)]
     bases = graphs.graph_bases(graph_list, k, basis_kind)
+    if sparse:
+        assert all(basis.sparse for basis in bases)
     specs = layers.make_layer_specs([first, kind, last], t, [f1, f2, 1])
     config = layers.NetworkConfig(m, k, specs, per_vertex_bias, v if per_vertex_bias else None)
     params = layers.init_network_params(config, seed % 1000)
@@ -96,11 +105,7 @@ def assert_close(actual, expected):
     np.testing.assert_allclose(actual, expected, rtol=FORWARD_RTOL, atol=FORWARD_RTOL * scale)
 
 
-@pytest.mark.parametrize("kind,propagate_first", PATHS)
-@settings(max_examples=15, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_forward_matches_cheb_conv_reference(kind, propagate_first, data):
-    bases, params, x, _ = draw_problem(data, kind, propagate_first)
+def check_forward(bases, params, x):
     preds, hidden = layers.network_forward_hidden(x, bases, params)
     for w, window in enumerate(x):
         _, post, pred = reference_forward(window, bases, params)
@@ -115,11 +120,7 @@ def test_forward_matches_cheb_conv_reference(kind, propagate_first, data):
             layer_in = list(post[idx])
 
 
-@pytest.mark.parametrize("kind,propagate_first", PATHS)
-@settings(max_examples=15, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_gradients_match_finite_differences(kind, propagate_first, data):
-    bases, params, x, y = draw_problem(data, kind, propagate_first)
+def check_gradients(bases, params, x, y):
     for window in x:
         pre, _, _ = reference_forward(window, bases, params)
         for spec, z in zip(params.config.layer_specs, pre):
@@ -135,3 +136,35 @@ def test_gradients_match_finite_differences(kind, propagate_first, data):
     numeric = finite_diff_gradient(objective, layers.pack_params(params), FD_STEP)
     rel = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
     assert rel.max() < GRAD_RTOL
+
+
+@pytest.mark.parametrize("kind,propagate_first", PATHS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_forward_matches_cheb_conv_reference(kind, propagate_first, data):
+    bases, params, x, _ = draw_problem(data, kind, propagate_first)
+    check_forward(bases, params, x)
+
+
+@pytest.mark.parametrize("kind,propagate_first", PATHS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_gradients_match_finite_differences(kind, propagate_first, data):
+    bases, params, x, y = draw_problem(data, kind, propagate_first)
+    check_gradients(bases, params, x, y)
+
+
+@pytest.mark.parametrize("kind,propagate_first", PATHS)
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sparse_forward_matches_cheb_conv_reference(kind, propagate_first, data):
+    bases, params, x, _ = draw_problem(data, kind, propagate_first, sparse=True)
+    check_forward(bases, params, x)
+
+
+@pytest.mark.parametrize("kind,propagate_first", PATHS)
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sparse_gradients_match_finite_differences(kind, propagate_first, data):
+    bases, params, x, y = draw_problem(data, kind, propagate_first, sparse=True)
+    check_gradients(bases, params, x, y)
