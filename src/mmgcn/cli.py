@@ -130,6 +130,13 @@ def _resolve_run_config(path) -> dict:
         )
     if config["network"]["basis"] not in (POWER_BASIS, CHEBYSHEV_BASIS):
         raise ValueError(f"unknown basis {config['network']['basis']!r}")
+    analysis = config["analysis"]
+    if analysis["max_samples"] < 1:
+        raise ValueError("config field config.analysis.max_samples must be >= 1, "
+                         f"got {analysis['max_samples']!r}")
+    if not analysis["edge_threshold"] >= 0.0:  # also rejects NaN
+        raise ValueError("config field config.analysis.edge_threshold must be nonnegative, "
+                         f"got {analysis['edge_threshold']!r}")
     manifest = Path(config["manifest"])
     if not manifest.is_absolute():
         manifest = (Path(path).parent / manifest).resolve()

@@ -269,8 +269,15 @@ def test_json_artifacts_are_strict(tmp_path):
     ("synth", {"grid_rows": "a", "grid_cols": 2, "weeks": 3}, "config.grid_rows"),
     ("synth", {"grid_rows": 2.5, "grid_cols": 2, "weeks": 3}, "config.grid_rows"),
     ("train", {"manifest": 5}, "config.manifest"),
+    ("analyze", {"manifest": "m.json", "analysis": {"max_samples": -300}},
+     "config.analysis.max_samples"),
+    ("analyze", {"manifest": "m.json", "analysis": {"max_samples": 0}},
+     "config.analysis.max_samples"),
+    ("analyze", {"manifest": "m.json", "analysis": {"edge_threshold": -0.5}},
+     "config.analysis.edge_threshold"),
 ], ids=["network-number", "top-level-list", "reg-number", "batch-size-string", "seed-string",
-        "grid-rows-string", "grid-rows-float", "manifest-number"])
+        "grid-rows-string", "grid-rows-float", "manifest-number", "max-samples-negative",
+        "max-samples-zero", "edge-threshold-negative"])
 def test_malformed_config_exits_2_naming_field(tmp_path, capsys, command, payload, field):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(payload))

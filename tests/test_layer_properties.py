@@ -13,7 +13,8 @@ layer takes that path, then checks
 The middle layer is never the first, so its input gradient is computed and
 flows into the layer below.  The ``test_sparse_*`` twins draw ring graphs
 with a few chords on 80-120 vertices, sparse enough that every basis takes
-the CSR path, and check the same properties there.
+the CSR path, and check the same properties there.  The gradient check also
+runs on batches that ``layers.ROW_BUDGET`` splits into chunks.
 """
 
 import numpy as np
@@ -42,10 +43,10 @@ PATHS = [
 ]
 
 
-def draw_problem(data, kind, propagate_first, sparse=False):
+def draw_problem(data, kind, propagate_first, sparse=False, batch=None):
     m = data.draw(st.integers(1, 3), label="modalities")
     v = data.draw(st.integers(80, 120) if sparse else st.integers(1, 5), label="vertices")
-    b = data.draw(st.integers(1, 1 if sparse else 3), label="batch")
+    b = batch or data.draw(st.integers(1, 1 if sparse else 3), label="batch")
     k = data.draw(st.integers(0, 3 if sparse else 2), label="degree")
     basis_kind = data.draw(st.sampled_from([graphs.POWER_BASIS, graphs.CHEBYSHEV_BASIS]))
     # per-vertex biases would multiply the finite-difference work by V
@@ -168,3 +169,15 @@ def test_sparse_forward_matches_cheb_conv_reference(kind, propagate_first, data)
 def test_sparse_gradients_match_finite_differences(kind, propagate_first, data):
     bases, params, x, y = draw_problem(data, kind, propagate_first, sparse=True)
     check_gradients(bases, params, x, y)
+
+
+@pytest.mark.parametrize("kind,propagate_first", PATHS)
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_chunked_gradients_match_finite_differences(kind, propagate_first, data):
+    # five windows in chunks of two: two whole chunks and a short one
+    bases, params, x, y = draw_problem(data, kind, propagate_first, batch=5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(layers, "ROW_BUDGET", 2 * x.shape[1])
+        assert len(layers._window_chunks(5, x.shape[1])) == 3
+        check_gradients(bases, params, x, y)
