@@ -201,10 +201,11 @@ def pack_grads(grads) -> np.ndarray:
 # Activations are vertex-major, (M, V, B, f): modality i's whole batch is one
 # contiguous (V, B*f) matrix, which its basis spreads over every degree or
 # gathers back (``LaplacianBasis.spread``/``gather``: one product with a dense
-# stack, or K sparse products).  Both layer kinds are a per-source polynomial
-# convolution sum_a B_a H W_a.  A GGCN source feeds all M targets (g = M*f2,
-# and all sources add into one output group); an MRGCN source only its own
-# (g = f2, one group per source).  Source i adds into group i % groups.
+# stack, or K products with a sparse or low-rank step).  Both layer kinds are
+# a per-source polynomial convolution sum_a B_a H W_a.  A GGCN source feeds
+# all M targets (g = M*f2, and all sources add into one output group); an
+# MRGCN source only its own (g = f2, one group per source).  Source i adds
+# into group i % groups.
 #
 # Propagated stacks are degree-minor, (V, B, K+1, f), so that a batch
 # against a source's weights is one 2-D product: ((K+1)*f1, g) weights after

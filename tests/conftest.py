@@ -40,6 +40,16 @@ def ring_with_chords(rng, n, chords, modality="custom"):
     return graphs.RelationGraph(modality, np.maximum(arcs, arcs.T))
 
 
+def poi_like(rng, n, categories, modality="custom"):
+    """POI similarity of random counts in 0-4, with a tenth of the regions
+    (and any whose counts come out zero) holding no POIs."""
+    counts = rng.integers(0, 5, (n, categories)).astype(float)
+    counts[rng.choice(n, max(1, n // 10), replace=False)] = 0.0
+    with pytest.warns(UserWarning, match="zero POI vectors"):
+        poi = graphs.build_poi_similarity(counts)
+    return graphs.RelationGraph(modality, poi.adjacency, poi.gram_factor)
+
+
 def tiny_network(rng_seed=0, vertices=3, modalities=2, degree=1, kinds=("ggcn", "mrgcn"),
                  dims=(3, 1), input_dim=5, graph_seed=11):
     """Small random problem instance: graphs, bases, config, params."""

@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmgcn.data import SynthConfig, generate_synthetic
+from mmgcn import graphs, layers
+from mmgcn.data import SynthConfig, generate_synthetic, make_windows
 from mmgcn.graphs import (
     CHEBYSHEV_BASIS,
     NEIGHBORHOOD,
@@ -26,7 +28,9 @@ from mmgcn.graphs import (
     normalized_laplacian,
 )
 
-from conftest import random_graph, ring_with_chords
+from mmgcn.regularization import RegularizerConfig
+
+from conftest import poi_like, random_graph, ring_with_chords
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,6 +47,38 @@ class TestRelationGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="diagonal"):
             RelationGraph("bad", np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    def test_arrays_are_read_only_copies(self):
+        unit = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
+        adjacency = unit @ unit.T
+        np.fill_diagonal(adjacency, 0.0)
+        g = RelationGraph("custom", adjacency, gram_factor=unit)
+        for array in (g.adjacency, g.gram_factor):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 1] = 5.0
+        before_adjacency, before_factor = adjacency.copy(), unit.copy()
+        adjacency[0, 1] = unit[0, 1] = 5.0
+        np.testing.assert_array_equal(g.adjacency, before_adjacency)
+        np.testing.assert_array_equal(g.gram_factor, before_factor)
+
+    def test_city_graphs_are_read_only(self):
+        for g in generate_synthetic(SynthConfig(3, 3, 2, seed=1)).graphs:
+            with pytest.raises(ValueError, match="read-only"):
+                g.adjacency[0, 1] = 5.0
+            assert np.array_equal(g.adjacency, g.adjacency.T)
+
+    def test_rejects_factor_that_does_not_match(self):
+        unit = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
+        adjacency = unit @ unit.T
+        np.fill_diagonal(adjacency, 0.0)
+        RelationGraph("poi", adjacency * (1.0 + 1e-14), gram_factor=unit)  # rounding
+        for bad in (adjacency * (1.0 + 1e-9), np.zeros((3, 3))):
+            with pytest.raises(ValueError, match="poi: .*Gram"):
+                RelationGraph("poi", bad, gram_factor=unit)
+        with pytest.raises(ValueError, match="poi: Gram factor must be 3 x P"):
+            RelationGraph("poi", adjacency, gram_factor=unit[:2])
+        with pytest.raises(ValueError, match="poi: .*non-finite"):
+            RelationGraph("poi", adjacency, gram_factor=np.full((3, 2), np.nan))
 
 
 class TestBuildNeighborhood:
@@ -94,6 +130,30 @@ class TestBuildPoiSimilarity:
         assert g.adjacency[1].sum() == 0.0
         assert g.adjacency[:, 1].sum() == 0.0
         assert g.adjacency[0, 2] > 0.0
+
+    def test_factor_is_unit_poi_vectors(self):
+        g = build_poi_similarity(np.array([[3.0, 4.0], [2.0, 0.0], [1.0, 1.0]]))
+        np.testing.assert_allclose(g.gram_factor, [[0.6, 0.8], [1.0, 0.0], [0.5**0.5] * 2])
+
+    @pytest.mark.parametrize("kind", [POWER_BASIS, CHEBYSHEV_BASIS])
+    def test_zero_row_keeps_zero_factor_row_without_runtime_warning(self, kind):
+        # region 1 has no POIs; region 0 has POIs but is similar to no region
+        poi = np.zeros((40, 2))
+        poi[0, 0] = 1.0
+        poi[2:, 1] = np.arange(1.0, 39.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(all="raise"):
+                g = build_poi_similarity(poi)
+                (basis,) = graph_bases([g], 2, kind)
+        assert [str(w.message) for w in caught] == [
+            "regions [1] have zero POI vectors; their similarity rows are set to 0"]
+        np.testing.assert_array_equal(g.gram_factor[1], [0.0, 0.0])
+        assert basis.factored
+        diagonal, factor = basis.low_rank
+        np.testing.assert_array_equal(factor[:2], np.zeros((2, 2)))
+        np.testing.assert_allclose(basis.step, np.diag(diagonal) - factor @ factor.T,
+                                   rtol=0.0, atol=1e-15)
 
 
 class TestBuildRoadConnectivity:
@@ -225,18 +285,62 @@ class TestBasisRepresentation:
                  else random_graph(rng, 90, density=0.3))
         basis = laplacian_basis(normalized_laplacian(graph), degree, kind)
         assert basis.sparse == sparse
-        x = rng.normal(size=(90, 2, 3))
-        y = rng.normal(size=(90, 2, degree + 1, 3))
+        assert not basis.factored
+        self.assert_spread_and_gather_match_powers(basis, rng)
+
+    @pytest.mark.parametrize("kind", [POWER_BASIS, CHEBYSHEV_BASIS])
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_factored_spread_and_gather_match_powers(self, kind, degree):
+        rng = np.random.default_rng(degree)
+        (basis,) = graph_bases([poi_like(rng, 90, 4)], degree, kind)
+        assert basis.factored and not basis.sparse
+        self.assert_spread_and_gather_match_powers(basis, rng)
+
+    @staticmethod
+    def assert_spread_and_gather_match_powers(basis, rng):
+        v, kp1 = basis.step.shape[0], basis.degree + 1
+        x = rng.normal(size=(v, 2, 3))
+        y = rng.normal(size=(v, 2, kp1, 3))
         spread_out = np.empty_like(y)
-        expected_gather = sum(p @ y[:, :, a].reshape(90, 6) for a, p in enumerate(basis.powers))
+        expected_gather = sum(p @ y[:, :, a].reshape(v, 6) for a, p in enumerate(basis.powers))
         for transpose in (False, True):
             basis.spread(x, spread_out, transpose)
             for a, power in enumerate(basis.powers):
-                np.testing.assert_allclose(spread_out[:, :, a].reshape(90, 6),
-                                           power @ x.reshape(90, 6), rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(spread_out[:, :, a].reshape(v, 6),
+                                           power @ x.reshape(v, 6), rtol=1e-12, atol=1e-12)
             gathered = basis.gather(y, transpose)
-            np.testing.assert_allclose(gathered.reshape(90, 6), expected_gather,
+            np.testing.assert_allclose(gathered.reshape(v, 6), expected_gather,
                                        rtol=1e-12, atol=1e-12)
+
+    def test_poi_basis_is_factored_on_16x16_and_dense_on_6x6(self):
+        # 16 * 13 categories = 208 vertices: the 16x16 city (256) is above it
+        for side, factored in ((16, True), (6, False)):
+            graph_list = generate_synthetic(SynthConfig(side, side, 2, seed=5)).graphs
+            for kind in (POWER_BASIS, CHEBYSHEV_BASIS):
+                bases = graph_bases(graph_list, 2, kind)
+                assert {g.modality_id: b.factored for g, b in zip(graph_list, bases)} == {
+                    NEIGHBORHOOD: False, POI_SIMILARITY: factored, ROAD_CONNECTIVITY: False}
+
+    @pytest.mark.parametrize("kind", [POWER_BASIS, CHEBYSHEV_BASIS])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 4])
+    def test_factored_loss_and_gradients_match_dense_on_16x16(self, kind, degree):
+        ds = generate_synthetic(SynthConfig(16, 16, 2, seed=5))
+        samples = make_windows(ds.series)[:3]
+        x = np.stack([s.input for s in samples])
+        y = np.stack([s.target[:, 0] for s in samples])
+        specs = layers.make_layer_specs([layers.GGCN, layers.MRGCN], x.shape[2], [4, 1])
+        params = layers.init_network_params(layers.NetworkConfig(3, degree, specs), 0)
+        factored = graph_bases(ds.graphs, degree, kind)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "LOW_RANK_RATIO", np.inf)
+            dense = graph_bases(ds.graphs, degree, kind)
+        assert factored[1].factored and not dense[1].factored
+        results = [layers.batch_loss(x, y, bases, params, RegularizerConfig(), with_grads=True)
+                   for bases in (factored, dense)]
+        (loss, grads), (dense_loss, dense_grads) = results
+        assert loss == pytest.approx(dense_loss, rel=1e-13)
+        flat, dense_flat = layers.pack_grads(grads), layers.pack_grads(dense_grads)
+        assert np.abs(flat - dense_flat).max() <= 1e-13 * np.abs(dense_flat).max()
 
     def test_scipy_imported_only_for_sparse_graphs(self):
         # a 6x6 city keeps every basis dense and never loads scipy.sparse; a

@@ -13,7 +13,9 @@ layer takes that path, then checks
 The middle layer is never the first, so its input gradient is computed and
 flows into the layer below.  The ``test_sparse_*`` twins draw ring graphs
 with a few chords on 80-120 vertices, sparse enough that every basis takes
-the CSR path, and check the same properties there.  The gradient check also
+the CSR path, and check the same properties there.  The ``test_factored_*``
+twins draw POI similarity graphs of 1-4 categories on 80-120 vertices, some
+regions without POIs, so that every basis takes the low-rank path.  The gradient check also
 runs on batches that ``layers.ROW_BUDGET`` splits into chunks.
 """
 
@@ -26,7 +28,7 @@ from mmgcn import graphs, layers
 from mmgcn.numerics import finite_diff_gradient
 from mmgcn.regularization import RegularizerConfig
 
-from conftest import random_graph, ring_with_chords
+from conftest import poi_like, random_graph, ring_with_chords
 
 GRAD_RTOL = 1e-4  # acceptance criterion 1
 FD_STEP = 1e-5
@@ -43,15 +45,16 @@ PATHS = [
 ]
 
 
-def draw_problem(data, kind, propagate_first, sparse=False, batch=None):
+def draw_problem(data, kind, propagate_first, sparse=False, batch=None, factored=False):
+    large = sparse or factored
     m = data.draw(st.integers(1, 3), label="modalities")
-    v = data.draw(st.integers(80, 120) if sparse else st.integers(1, 5), label="vertices")
-    b = batch or data.draw(st.integers(1, 1 if sparse else 3), label="batch")
-    k = data.draw(st.integers(0, 3 if sparse else 2), label="degree")
+    v = data.draw(st.integers(80, 120) if large else st.integers(1, 5), label="vertices")
+    b = batch or data.draw(st.integers(1, 1 if large else 3), label="batch")
+    k = data.draw(st.integers(0, 3 if large else 2), label="degree")
     basis_kind = data.draw(st.sampled_from([graphs.POWER_BASIS, graphs.CHEBYSHEV_BASIS]))
     # per-vertex biases would multiply the finite-difference work by V
-    per_vertex_bias = not sparse and data.draw(st.booleans(), label="per_vertex_bias")
-    t = data.draw(st.integers(1, 2 if sparse else 3), label="window")
+    per_vertex_bias = not large and data.draw(st.booleans(), label="per_vertex_bias")
+    t = data.draw(st.integers(1, 2 if large else 3), label="window")
     f2 = data.draw(st.integers(1, 2), label="middle out_dim")
     g = f2 * m if kind == layers.GGCN else f2
     f1 = data.draw(st.integers(1, g) if propagate_first else st.integers(g + 1, g + 2),
@@ -64,11 +67,16 @@ def draw_problem(data, kind, propagate_first, sparse=False, batch=None):
     if sparse:
         chords = data.draw(st.integers(0, 4), label="chords")
         graph_list = [ring_with_chords(rng, v, chords, f"custom{i}") for i in range(m)]
+    elif factored:
+        categories = data.draw(st.integers(1, 4), label="categories")
+        graph_list = [poi_like(rng, v, categories, f"custom{i}") for i in range(m)]
     else:
         graph_list = [random_graph(rng, v, density=0.7, modality=f"custom{i}") for i in range(m)]
     bases = graphs.graph_bases(graph_list, k, basis_kind)
     if sparse:
         assert all(basis.sparse for basis in bases)
+    if factored:
+        assert all(basis.factored for basis in bases)
     specs = layers.make_layer_specs([first, kind, last], t, [f1, f2, 1])
     config = layers.NetworkConfig(m, k, specs, per_vertex_bias, v if per_vertex_bias else None)
     params = layers.init_network_params(config, seed % 1000)
@@ -168,6 +176,22 @@ def test_sparse_forward_matches_cheb_conv_reference(kind, propagate_first, data)
 @given(data=st.data())
 def test_sparse_gradients_match_finite_differences(kind, propagate_first, data):
     bases, params, x, y = draw_problem(data, kind, propagate_first, sparse=True)
+    check_gradients(bases, params, x, y)
+
+
+@pytest.mark.parametrize("kind,propagate_first", PATHS)
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_factored_forward_matches_cheb_conv_reference(kind, propagate_first, data):
+    bases, params, x, _ = draw_problem(data, kind, propagate_first, factored=True)
+    check_forward(bases, params, x)
+
+
+@pytest.mark.parametrize("kind,propagate_first", PATHS)
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_factored_gradients_match_finite_differences(kind, propagate_first, data):
+    bases, params, x, y = draw_problem(data, kind, propagate_first, factored=True)
     check_gradients(bases, params, x, y)
 
 
