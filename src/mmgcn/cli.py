@@ -71,9 +71,6 @@ _RUN_DEFAULTS = {
 
 _SYNTH_DEFAULTS = {**_field_defaults(D.SynthConfig), "val_weeks": 1, "test_weeks": 1}
 
-_SPLITS = ("train", "val", "test")
-
-
 def _object(section, context: str) -> dict:
     if not isinstance(section, dict):
         raise ValueError(f"config section {context} must be a JSON object")
@@ -176,8 +173,8 @@ def _train_config(config: dict) -> T.TrainConfig:
 
 def _split_samples(dataset) -> dict:
     samples = D.make_windows(dataset.series)
-    parts = D.split_dataset(samples, *(dataset.splits[name] for name in _SPLITS))
-    return dict(zip(_SPLITS, parts))
+    parts = D.split_dataset(samples, *(dataset.splits[name] for name in D.SPLIT_NAMES))
+    return dict(zip(D.SPLIT_NAMES, parts))
 
 
 def _write_json(path: Path, payload: dict) -> None:

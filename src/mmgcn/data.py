@@ -28,6 +28,9 @@ MINUTES_PER_DAY = 1440
 # same time last week
 WINDOW_OFFSETS = ("t-1", "t-2", "t-3", "t-P", "t-W")
 
+# target-index ranges a manifest names, in time order
+SPLIT_NAMES = ("train", "val", "test")
+
 
 @dataclass
 class DemandSeries:
@@ -280,6 +283,8 @@ def load_dataset(manifest_path) -> Dataset:
     if not manifest_path.exists():
         raise ValueError(f"{manifest_path}: manifest not found")
     manifest = json.loads(manifest_path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: manifest must be a JSON object")
     required = {
         "vertex_count",
         "interval_minutes",
@@ -303,6 +308,7 @@ def load_dataset(manifest_path) -> Dataset:
         raise ValueError(
             f"{base / manifest['demand_csv']}: expected {n} rows, got {demand.shape[0]}"
         )
+    splits = _checked_splits(manifest["splits"], demand.shape[1], manifest_path)
     negative = np.nonzero((demand < 0).any(axis=1))[0]
     if negative.size:
         raise ValueError(
@@ -342,5 +348,22 @@ def load_dataset(manifest_path) -> Dataset:
         road,
         int(manifest["grid_rows"]),
         int(manifest["grid_cols"]),
-        {k: [int(v[0]), int(v[1])] for k, v in manifest["splits"].items()},
+        splits,
     )
+
+
+def _checked_splits(splits, total: int, manifest_path: Path) -> dict:
+    """The manifest's train/val/test target-index ranges, each a pair of
+    integers with 0 <= lo <= hi <= ``total``, and no other split."""
+    if not isinstance(splits, dict):
+        raise ValueError(f"{manifest_path}: splits must be a JSON object, got {splits!r}")
+    unknown = sorted(set(splits) - set(SPLIT_NAMES))
+    if unknown:
+        raise ValueError(f"{manifest_path}: unknown split splits.{unknown[0]}")
+    for name in SPLIT_NAMES:
+        bounds = splits.get(name)
+        if not (isinstance(bounds, list) and len(bounds) == 2
+                and all(type(b) is int for b in bounds) and 0 <= bounds[0] <= bounds[1] <= total):
+            raise ValueError(f"{manifest_path}: splits.{name} must be a pair of integers "
+                             f"[lo, hi] with 0 <= lo <= hi <= {total}, got {bounds!r}")
+    return {name: splits[name] for name in SPLIT_NAMES}

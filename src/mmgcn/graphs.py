@@ -7,9 +7,7 @@ nonnegative, and zero on the diagonal.  The POI similarity graph also carries
 its Gram factor, the unit POI vectors, from which its basis applies the
 Laplacian as a diagonal minus a rank-P product.  A graph holds read-only
 copies of its arrays, so it cannot be changed after it is validated.  Graphs
-and bases are immutable after construction and safe to share across threads
-(two threads that both ask a sparse or factored basis for its dense
-``powers`` first may each build them).
+and bases are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -111,12 +109,13 @@ class LaplacianBasis:
     """The polynomial [B_0 .. B_K] of the step matrix B_1 that the graph
     convolution sums over, applied by :meth:`spread` and :meth:`gather`.
 
-    ``kind = "power"`` takes raw Laplacian powers (B_1 = L, B_a = B_{a-1} B_1);
+    ``kind = "power"`` takes B_a = L^a (B_1 = L, B_a = B_{a-1} B_1);
     ``kind = "chebyshev"`` takes Chebyshev polynomials T_a(L - I) of the
     rescaled Laplacian (B_1 = L - I, B_a = 2 B_1 B_{a-1} - B_{a-2}).  Either way
     B_0 = I, which is applied as a copy.  ``step`` must be exactly symmetric,
-    so every B_a is its own transpose.  ``low_rank``, if given, is a pair
-    (d, Y) with ``step`` = diag(d) - Y Y^T up to rounding, as
+    so every B_a is its own transpose, and the backward pass applies the same
+    :meth:`spread` and :meth:`gather` as the forward pass.  ``low_rank``, if
+    given, is a pair (d, Y) with ``step`` = diag(d) - Y Y^T up to rounding, as
     :func:`graph_bases` derives it from a graph's Gram factor.
 
     The representation is chosen once, here.  A step matrix with at most
@@ -125,9 +124,9 @@ class LaplacianBasis:
     (``factored``).  Either is applied by its recursion, K products with
     B_1.  Anything else holds the terms as the dense row stack
     ``[B_1; ...; B_K]`` (K*V x V) and column stack ``[B_1 ... B_K]``
-    (V x K*V), so one matrix product reaches every degree.  ``powers``, the
-    dense terms, is built on first use for a sparse or factored basis.  Every
-    array is read-only.
+    (V x K*V), so one matrix product reaches every degree; each dense term is
+    symmetrized as it is built, so the column stack is exactly the row
+    stack's transpose.  Every array is read-only.
     """
 
     step: np.ndarray
@@ -139,7 +138,6 @@ class LaplacianBasis:
     _csr: object = field(init=False, repr=False, compare=False)
     _row_stack: np.ndarray = field(init=False, repr=False, compare=False)
     _col_stack: np.ndarray = field(init=False, repr=False, compare=False)
-    _powers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.degree < 0:
@@ -157,7 +155,7 @@ class LaplacianBasis:
         sparse = bool(np.count_nonzero(step) * SPARSE_FILL <= n * n)
         factored = (not sparse and low_rank is not None
                     and n >= LOW_RANK_RATIO * low_rank[1].shape[1])
-        csr = row_stack = col_stack = powers = None
+        csr = row_stack = col_stack = None
         if sparse:
             from scipy.sparse import csr_array  # imported only by a city with sparse graphs
 
@@ -168,21 +166,10 @@ class LaplacianBasis:
             col_stack = terms.transpose(1, 0, 2).reshape(n, self.degree * n)
             for arr in (terms, row_stack, col_stack):
                 arr.setflags(write=False)
-            powers = (_identity(n),) + tuple(terms)
         for name, value in (("step", step), ("low_rank", low_rank), ("sparse", sparse),
                             ("factored", factored), ("_csr", csr), ("_row_stack", row_stack),
-                            ("_col_stack", col_stack), ("_powers", powers)):
+                            ("_col_stack", col_stack)):
             object.__setattr__(self, name, value)
-
-    @property
-    def powers(self) -> tuple:
-        """[B_0 .. B_K] as dense read-only V x V matrices."""
-        if self._powers is None:
-            n = self.step.shape[0]
-            terms = _polynomial_terms(self.step, self.degree, self.kind)
-            terms.setflags(write=False)
-            object.__setattr__(self, "_powers", (_identity(n),) + tuple(terms))
-        return self._powers
 
     def _apply_step(self, x: np.ndarray) -> np.ndarray:
         """B_1 x for a (V, n) matrix x, as a new array: one CSR product, or
@@ -194,15 +181,13 @@ class LaplacianBasis:
         out -= factor @ (factor.T @ x)
         return out
 
-    def spread(self, x: np.ndarray, out: np.ndarray, transpose: bool = False) -> None:
-        """Write every B_a x (B_a^T x if ``transpose``; the same unless the
-        basis is dense) into the degree-minor ``out`` (V, B, K+1, f), for x
-        (V, B, f)."""
+    def spread(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write every B_a x into the degree-minor ``out`` (V, B, K+1, f), for
+        x (V, B, f)."""
         v, b, f = x.shape
         out[:, :, 0] = x
         if self._row_stack is not None:
-            stack = self._col_stack.T if transpose else self._row_stack
-            terms = (stack @ x.reshape(v, b * f)).reshape(-1, v, b, f)
+            terms = (self._row_stack @ x.reshape(v, b * f)).reshape(-1, v, b, f)
             out[:, :, 1:] = terms.transpose(1, 2, 0, 3)
             return
         prev, cur = None, x.reshape(v, b * f)
@@ -214,16 +199,14 @@ class LaplacianBasis:
             out[:, :, a] = nxt.reshape(v, b, f)
             prev, cur = cur, nxt
 
-    def gather(self, y: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """sum_a B_a y[:, :, a] (B_a^T if ``transpose``; the same unless the
-        basis is dense) over the degree-minor y (V, B, K+1, f); returns a new
-        (V*B, f) array."""
+    def gather(self, y: np.ndarray) -> np.ndarray:
+        """sum_a B_a y[:, :, a] over the degree-minor y (V, B, K+1, f); returns
+        a new (V*B, f) array."""
         v, b, kp1, f = y.shape
         if self._row_stack is not None:
-            stack = self._row_stack.T if transpose else self._col_stack
             rows = np.ascontiguousarray(y[:, :, 1:].transpose(2, 0, 1, 3)).reshape(
                 (kp1 - 1) * v, b * f)
-            out = (stack @ rows).reshape(v, b, f)
+            out = (self._col_stack @ rows).reshape(v, b, f)
             out += y[:, :, 0]
             return out.reshape(v * b, f)
         # Horner's rule (power) or Clenshaw's recurrence (Chebyshev), reading
@@ -252,23 +235,20 @@ def _read_only_low_rank(low_rank, n: int) -> tuple:
     return diagonal, factor
 
 
-def _identity(n: int) -> np.ndarray:
-    identity = np.eye(n)
-    identity.setflags(write=False)
-    return identity
-
-
 def _polynomial_terms(step: np.ndarray, degree: int, kind: str) -> np.ndarray:
-    """[B_1 .. B_K] as one dense (K, V, V) array."""
+    """[B_1 .. B_K] as one dense (K, V, V) array.  Each product is set to
+    (B_a + B_a^T) / 2 before the next term uses it, so every term is exactly
+    its own transpose rather than symmetric up to rounding."""
     n = step.shape[0]
     terms = np.empty((degree, n, n))
     for a in range(degree):
         if a == 0:
-            terms[a] = step
+            term = step
         elif kind == POWER_BASIS:
-            terms[a] = terms[a - 1] @ step
+            term = terms[a - 1] @ step
         else:
-            terms[a] = 2.0 * step @ terms[a - 1] - (terms[a - 2] if a > 1 else np.eye(n))
+            term = 2.0 * step @ terms[a - 1] - (terms[a - 2] if a > 1 else np.eye(n))
+        terms[a] = (term + term.T) / 2.0
     return terms
 
 
@@ -360,9 +340,9 @@ def _laplacian_low_rank(g: RelationGraph) -> tuple:
 
 def laplacian_basis(lap: np.ndarray, degree: int, kind: str = POWER_BASIS,
                     low_rank: tuple | None = None) -> LaplacianBasis:
-    """Matrices the convolution sums over: raw powers of L, or Chebyshev
-    polynomials of the rescaled L - I when ``kind = "chebyshev"``.
-    ``low_rank`` = (d, Y) with L = diag(d) - Y Y^T is shifted the same way."""
+    """Matrices the convolution sums over: L^a, or Chebyshev polynomials of
+    the rescaled L - I when ``kind = "chebyshev"``.  ``low_rank`` = (d, Y)
+    with L = diag(d) - Y Y^T is shifted the same way."""
     lap = np.asarray(lap, dtype=float)
     if kind == CHEBYSHEV_BASIS:
         lap = lap - np.eye(lap.shape[0])

@@ -6,9 +6,11 @@ intra-modality weights only, stored as one joint 4-mode tensor so the
 tensor-normal prior can act on it.  A modality-wise average fuses the final
 single-feature outputs into the prediction.
 
-The backward pass is hand-written; its contract is agreement with central
-finite differences, which the test suite enforces.  Forward and gradient
-evaluation are pure given the parameters; only the trainer mutates them.
+The backward pass is hand-written.  Every basis term is its own transpose,
+so it propagates with the same ``spread`` and ``gather`` as the forward pass.
+Its contract is agreement with central finite differences, which the test
+suite enforces.  Forward and gradient evaluation are pure given the
+parameters; only the trainer mutates them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import LaplacianBasis
 from .regularization import CovarianceSet, RegularizerConfig, group_lasso, tensor_normal_loss
 
 GGCN = "ggcn"
@@ -175,26 +176,6 @@ def named_param_arrays(params: NetworkParams):
     return out
 
 
-def pack_params(params: NetworkParams) -> np.ndarray:
-    return np.concatenate([arr.ravel() for _, arr in named_param_arrays(params)])
-
-
-def unpack_params(params: NetworkParams, flat: np.ndarray) -> NetworkParams:
-    """New parameter structure with trainable values taken from ``flat``."""
-    result = copy_network_params(params)
-    offset = 0
-    for _, arr in named_param_arrays(result):
-        arr[...] = flat[offset : offset + arr.size].reshape(arr.shape)
-        offset += arr.size
-    if offset != flat.size:
-        raise ValueError(f"flat vector has {flat.size} entries, expected {offset}")
-    return result
-
-
-def pack_grads(grads) -> np.ndarray:
-    return np.concatenate([np.concatenate([g.weights.ravel(), g.biases.ravel()]) for g in grads])
-
-
 # ---------------------------------------------------------------------------
 # forward / backward cores
 #
@@ -294,11 +275,11 @@ def _layer_backward(d_out, cache, bases, layer, need_dh: bool):
         if need_dh:  # one source's propagated gradient at a time
             for i in range(m):
                 dp = (dz[i % groups] @ w[i].T).reshape(v, b, kp1, f1)
-                dh[i] = bases[i].gather(dp, transpose=True).reshape(v, b, f1)
+                dh[i] = bases[i].gather(dp).reshape(v, b, f1)
     else:
         dq = np.empty((v, b, kp1, g))
         for i in range(m):
-            bases[i].spread(dz[i % groups].reshape(v, b, g), dq, transpose=True)
+            bases[i].spread(dz[i % groups].reshape(v, b, g), dq)
             np.matmul(operand[i].reshape(v * b, f1).T, dq.reshape(v * b, -1), out=d_mats[i])
             if need_dh:
                 dh[i] = (dq.reshape(v * b, -1) @ w[i].T).reshape(v, b, f1)
@@ -416,24 +397,6 @@ def predict_batches(samples, bases, params: NetworkParams) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # single-sample operations
-
-def cheb_conv(x: np.ndarray, basis: LaplacianBasis, weights: np.ndarray) -> np.ndarray:
-    """Polynomial graph convolution: sum_a basis[a] @ X @ W[a]."""
-    x = np.asarray(x, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 3 or weights.shape[0] != basis.degree + 1:
-        raise ValueError(
-            f"weights must be a (K+1, f1, f2) stack matching degree {basis.degree}"
-        )
-    if x.ndim != 2 or x.shape[1] != weights.shape[1]:
-        raise ValueError(f"signal shape {x.shape} does not match weight f1 {weights.shape[1]}")
-    if x.shape[0] != basis.powers[0].shape[0]:
-        raise ValueError("signal vertex count does not match the basis")
-    out = np.zeros((x.shape[0], weights.shape[2]))
-    for power, w_alpha in zip(basis.powers, weights):
-        out += power @ x @ w_alpha
-    return out
-
 
 def _single_window_layer(xs, bases, layer, activation: str, count: int):
     if len(xs) != count or len(bases) != count:

@@ -101,24 +101,5 @@ def modality_relationship(
     return RelationshipMatrix(layer_id, matrix, sigma.copy(), tuple(labels))
 
 
-# ---------------------------------------------------------------------------
-# reference predictors used to sanity-check learned models
-
 def stack_targets(samples) -> np.ndarray:
     return np.stack([s.target[:, 0] for s in samples])
-
-
-def zeros_baseline_rmse(samples) -> float:
-    targets = stack_targets(samples)
-    return rmse(np.zeros_like(targets), targets)
-
-
-def historical_average_baseline(train_samples) -> np.ndarray:
-    """Per-region mean of the training targets, as a constant predictor."""
-    return stack_targets(train_samples).mean(axis=0)
-
-
-def historical_average_rmse(train_samples, eval_samples) -> float:
-    prediction = historical_average_baseline(train_samples)
-    targets = stack_targets(eval_samples)
-    return rmse(np.broadcast_to(prediction, targets.shape), targets)

@@ -9,7 +9,7 @@ convention.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,19 +82,4 @@ def spd_inverse(matrix: np.ndarray, cond_limit: float = 1e12) -> np.ndarray:
     lower = np.linalg.solve(chol, np.eye(n))
     inverse = np.linalg.solve(chol.T, lower)
     return (inverse + inverse.T) / 2.0
-
-
-def finite_diff_gradient(
-    f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector."""
-    if h <= 0:
-        raise ValueError("step size h must be positive")
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        grad[i] = (f(x + step) - f(x - step)) / (2.0 * h)
-    return grad
 

@@ -69,7 +69,6 @@ class HistoryRow:
 class TrainResult:
     state: TrainState
     history: list
-    cov_snapshots: list  # per epoch: one CovarianceSet copy per high layer
 
 
 def init_train_state(params: L.NetworkParams, seed: int) -> TrainState:
@@ -176,7 +175,6 @@ def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig,
     params = L.init_network_params(net_config, cfg.seed, cfg.reg.frozen_modes)
     state = init_train_state(params, cfg.seed)
     history = []
-    snapshots = []
     best = _snapshot_optimizer(state)
 
     targets = stack_targets(train_samples)
@@ -209,13 +207,6 @@ def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig,
                 f"(train_rmse={train_rmse!r}, val_rmse={val_rmse!r})"
             )
         history.append(HistoryRow(epoch, train_rmse, val_rmse))
-        snapshots.append(
-            [
-                layer.covariances.copy()
-                for spec, layer in zip(net_config.layer_specs, state.params.layers)
-                if spec.kind == L.MRGCN
-            ]
-        )
         if val_rmse < state.best_val_rmse:
             state.best_val_rmse = val_rmse
             state.best_epoch = epoch
@@ -226,7 +217,7 @@ def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig,
             if state.epochs_since_improvement >= cfg.patience:
                 break
     _restore_optimizer(state, best)
-    return TrainResult(state, history, snapshots)
+    return TrainResult(state, history)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +271,8 @@ def _checkpoint_tensors(state: TrainState):
 
 
 def save_checkpoint(out_dir, state: TrainState, frozen_modes) -> None:
-    """JSON manifest plus one little-endian float64 blob, canonical layout.
+    """Strict JSON manifest plus one little-endian float64 blob, canonical
+    layout; a best validation RMSE that no epoch set is written as null.
     Neither file is overwritten until both are fully written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -300,7 +292,8 @@ def save_checkpoint(out_dir, state: TrainState, frozen_modes) -> None:
         "tensor_index": index,
         "scalars": {
             "step": state.step,
-            "best_val_rmse": state.best_val_rmse,
+            "best_val_rmse": None if state.best_val_rmse == np.inf else
+                             state.best_val_rmse,
             "best_epoch": state.best_epoch,
             "epochs_since_improvement": state.epochs_since_improvement,
         },
@@ -308,7 +301,8 @@ def save_checkpoint(out_dir, state: TrainState, frozen_modes) -> None:
     }
     _replace_files([
         (out / "checkpoint.bin", bytes(blob)),
-        (out / "checkpoint.json", (json.dumps(manifest, indent=2) + "\n").encode()),
+        (out / "checkpoint.json",
+         (json.dumps(manifest, indent=2, allow_nan=False) + "\n").encode()),
     ])
 
 
@@ -403,7 +397,8 @@ def load_checkpoint(out_dir) -> TrainState:
                 raise ValueError(f"checkpoint layer {idx}: {exc}") from exc
     scalars = manifest["scalars"]
     state.step = scalars["step"]
-    state.best_val_rmse = scalars["best_val_rmse"]
+    best_val_rmse = scalars["best_val_rmse"]
+    state.best_val_rmse = np.inf if best_val_rmse is None else best_val_rmse
     state.best_epoch = scalars["best_epoch"]
     state.epochs_since_improvement = scalars["epochs_since_improvement"]
     state.rng.bit_generator.state = manifest["rng_state"]

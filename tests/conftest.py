@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mmgcn import graphs, layers
+from mmgcn import graphs, layers, training
+from mmgcn.metrics import rmse, stack_targets
 from mmgcn.regularization import RegularizerConfig
 
 
@@ -94,3 +95,105 @@ def single_layer(kind, rng_seed=0, vertices=3, modalities=2, degree=1, in_dim=5,
 @pytest.fixture
 def reg_config():
     return RegularizerConfig()
+
+
+@pytest.fixture
+def covariance_updates(monkeypatch):
+    """Every high layer's covariances after each flip-flop pass that
+    ``training.train`` runs: one list of ``CovarianceSet`` copies per pass."""
+    passes = []
+    update = training._update_covariances
+
+    def spy(params, reg):
+        update(params, reg)
+        passes.append([layer.covariances.copy() for layer in params.layers
+                       if isinstance(layer, layers.MrgcnLayerParams)])
+
+    monkeypatch.setattr(training, "_update_covariances", spy)
+    return passes
+
+
+# ---------------------------------------------------------------------------
+# references the library is checked against
+
+def basis_terms(basis):
+    """[B_0 .. B_K] as dense matrices, by the textbook recurrence on
+    ``basis.step``: B_a = B_{a-1} B_1 (power) or 2 B_1 B_{a-1} - B_{a-2}
+    (Chebyshev), with B_0 = I."""
+    step = basis.step
+    terms = [np.eye(step.shape[0]), step]
+    for _ in range(2, basis.degree + 1):
+        if basis.kind == graphs.POWER_BASIS:
+            terms.append(terms[-1] @ step)
+        else:
+            terms.append(2.0 * step @ terms[-1] - terms[-2])
+    return terms[: basis.degree + 1]
+
+
+def cheb_conv(x, basis, weights):
+    """Polynomial graph convolution: sum_a B_a @ X @ W[a]."""
+    x = np.asarray(x, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 3 or weights.shape[0] != basis.degree + 1:
+        raise ValueError(
+            f"weights must be a (K+1, f1, f2) stack matching degree {basis.degree}"
+        )
+    if x.ndim != 2 or x.shape[1] != weights.shape[1]:
+        raise ValueError(f"signal shape {x.shape} does not match weight f1 {weights.shape[1]}")
+    if x.shape[0] != basis.step.shape[0]:
+        raise ValueError("signal vertex count does not match the basis")
+    out = np.zeros((x.shape[0], weights.shape[2]))
+    for term, w_alpha in zip(basis_terms(basis), weights):
+        out += term @ x @ w_alpha
+    return out
+
+
+def finite_diff_gradient(f, x, h=1e-5):
+    """Central-difference gradient of a scalar function of a flat vector."""
+    if h <= 0:
+        raise ValueError("step size h must be positive")
+    x = np.asarray(x, dtype=float)
+    grad = np.zeros_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        grad[i] = (f(x + step) - f(x - step)) / (2.0 * h)
+    return grad
+
+
+def pack_params(params):
+    """The trainable arrays as one flat vector, in ``named_param_arrays`` order."""
+    return np.concatenate([arr.ravel() for _, arr in layers.named_param_arrays(params)])
+
+
+def unpack_params(params, flat):
+    """New parameter structure with trainable values taken from ``flat``."""
+    result = layers.copy_network_params(params)
+    offset = 0
+    for _, arr in layers.named_param_arrays(result):
+        arr[...] = flat[offset : offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+    if offset != flat.size:
+        raise ValueError(f"flat vector has {flat.size} entries, expected {offset}")
+    return result
+
+
+def pack_grads(grads):
+    """Layer gradients as one flat vector, in ``pack_params`` order."""
+    return np.concatenate([np.concatenate([g.weights.ravel(), g.biases.ravel()]) for g in grads])
+
+
+def zeros_baseline_rmse(samples):
+    targets = stack_targets(samples)
+    return rmse(np.zeros_like(targets), targets)
+
+
+def historical_average_baseline(train_samples):
+    """Per-region mean of the training targets, as a constant predictor."""
+    return stack_targets(train_samples).mean(axis=0)
+
+
+def historical_average_rmse(train_samples, eval_samples):
+    prediction = historical_average_baseline(train_samples)
+    targets = stack_targets(eval_samples)
+    return rmse(np.broadcast_to(prediction, targets.shape), targets)

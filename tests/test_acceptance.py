@@ -17,7 +17,7 @@ from mmgcn import layers as L
 from mmgcn import metrics as M
 from mmgcn import training as T
 from mmgcn.cli import dispatch
-from mmgcn.numerics import finite_diff_gradient, mode_unfold
+from mmgcn.numerics import mode_unfold
 from mmgcn.regularization import (
     FLIP_FLOP_INVERSE_MLE,
     FLIP_FLOP_LITERAL,
@@ -27,7 +27,17 @@ from mmgcn.regularization import (
     tensor_normal_loss,
 )
 
-from conftest import random_graph, random_spd
+from conftest import (
+    cheb_conv,
+    finite_diff_gradient,
+    historical_average_rmse,
+    pack_grads,
+    pack_params,
+    random_graph,
+    random_spd,
+    unpack_params,
+    zeros_baseline_rmse,
+)
 
 
 def _kron_chain(mats):
@@ -70,14 +80,14 @@ def test_criterion_1_gradient_suite():
         ]
         x = np.stack([a for a, _ in batch])
         y = np.stack([b[:, 0] for _, b in batch])
-        analytic = L.pack_grads(L.batch_loss(x, y, bases, params, reg, with_grads=True)[1])
+        analytic = pack_grads(L.batch_loss(x, y, bases, params, reg, with_grads=True)[1])
 
         def objective(flat):
-            candidate = L.unpack_params(params, flat)
+            candidate = unpack_params(params, flat)
             loss, _ = L.batch_loss(x, y, bases, candidate, reg, with_grads=False)
             return loss
 
-        numeric = finite_diff_gradient(objective, L.pack_params(params), 1e-5)
+        numeric = finite_diff_gradient(objective, pack_params(params), 1e-5)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
         worst = max(worst, float(rel.max()))
         assert rel.max() < 1e-4, f"instance {seed}: relative error {rel.max():.2e}"
@@ -111,7 +121,7 @@ def test_criterion_2_mgcn_degeneracy():
         outputs = L.ggcn_forward(xs, bases, layer, L.RELU)
         for j in range(modalities):
             expected = np.maximum(
-                L.cheb_conv(xs[j], bases[j], weights[j, j]) + biases[j], 0.0
+                cheb_conv(xs[j], bases[j], weights[j, j]) + biases[j], 0.0
             )
             diff = np.abs(outputs[j] - expected).max()
             worst = max(worst, float(diff))
@@ -149,7 +159,7 @@ def test_criterion_3_kronecker_oracle():
     print("ACCEPTANCE 3 (Kronecker oracle): PASS (12 dim draws, both flip-flop forms)")
 
 
-def test_criterion_4_spd_and_freezing():
+def test_criterion_4_spd_and_freezing(covariance_updates):
     """After 200 training batches, non-frozen covariances are symmetric with
     min eigenvalue >= epsilon while frozen input/output modes stay identity."""
     cfg = D.SynthConfig(4, 4, weeks=2, noise_scale=0.4, seed=13)
@@ -163,7 +173,7 @@ def test_criterion_4_spd_and_freezing():
     result = T.train(splits, ds.graphs, net, train_cfg)
     batches_per_epoch = -(-len(splits["train"]) // train_cfg.batch_size)
     assert batches_per_epoch * len(result.history) == 200
-    final = result.cov_snapshots[-1]
+    final = covariance_updates[-1]
     assert final, "no high-layer covariances tracked"
     for cov in final:
         for mode, sigma in enumerate(cov.sigma):
@@ -234,8 +244,8 @@ def _desk_scale_run():
     ACCEPT6 = {
         "full": full,
         "mgcn": mgcn,
-        "zeros": M.zeros_baseline_rmse(test_s),
-        "historical": M.historical_average_rmse(train_s, test_s),
+        "zeros": zeros_baseline_rmse(test_s),
+        "historical": historical_average_rmse(train_s, test_s),
         "elapsed": time.perf_counter() - started,
     }
     return ACCEPT6

@@ -285,6 +285,35 @@ def test_malformed_config_exits_2_naming_field(tmp_path, capsys, command, payloa
     assert f"{field} must be" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def city3x3(tmp_path_factory):
+    """A 3x3, 4-week synthetic dataset (1344 intervals); returns its directory."""
+    root = tmp_path_factory.mktemp("city3x3")
+    synth = write_json(root / "synth.json", {"grid_rows": 3, "grid_cols": 3, "weeks": 4})
+    assert dispatch(["synth", "--config", str(synth), "--out", str(root / "data")]) == 0
+    return root / "data"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda manifest: [1, 2], "manifest must be a JSON object"),
+    (lambda manifest: {**manifest, "splits": {k: v for k, v in manifest["splits"].items()
+                                              if k != "val"}}, "splits.val must be"),
+    (lambda manifest: {**manifest, "splits": {**manifest["splits"], "val": "672-1008"}},
+     "splits.val must be"),
+    (lambda manifest: {**manifest, "splits": {**manifest["splits"], "test": [1008, 99999]}},
+     "splits.test must be a pair of integers [lo, hi] with 0 <= lo <= hi <= 1344"),
+], ids=["not-an-object", "val-missing", "val-string", "test-past-end"])
+def test_malformed_manifest_exits_2(city3x3, tmp_path, capsys, edit, message):
+    manifest = json.loads((city3x3 / "manifest.json").read_text())
+    edited = write_json(city3x3 / f"{tmp_path.name}.json", edit(manifest))
+    config = write_json(tmp_path / "run.json", {
+        "manifest": str(edited), "network": {"output_dims": [2, 1], "cheb_degree": 1},
+        "train": {"max_epochs": 1},
+    })
+    assert dispatch(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_echoed_defaults_match_dataclasses(tmp_path):
     # 60-minute intervals halve the windows of a full default-length fit
     given = {"grid_rows": 2, "grid_cols": 2, "weeks": 4, "interval_minutes": 60}

@@ -30,9 +30,18 @@ from mmgcn.graphs import (
 
 from mmgcn.regularization import RegularizerConfig
 
-from conftest import poi_like, random_graph, ring_with_chords
+from conftest import basis_terms, pack_grads, poi_like, random_graph, ring_with_chords
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def applied_terms(basis):
+    """[B_0 .. B_K] as the basis applies them: ``spread`` of the identity,
+    whose column j is B_a e_j."""
+    v = basis.step.shape[0]
+    out = np.empty((v, v, basis.degree + 1, 1))
+    basis.spread(np.eye(v)[:, :, None], out)
+    return [out[:, :, a, 0] for a in range(basis.degree + 1)]
 
 
 class TestRelationGraph:
@@ -218,37 +227,33 @@ class TestLaplacianBasis:
     def test_degree_zero(self):
         basis = laplacian_basis(np.array([[0.5]]), 0)
         assert basis.degree == 0
-        np.testing.assert_array_equal(basis.powers[0], np.eye(1))
+        np.testing.assert_array_equal(applied_terms(basis)[0], np.eye(1))
 
     def test_identity_powers(self):
         basis = laplacian_basis(np.eye(3), 3)
-        for mat in basis.powers:
+        for mat in applied_terms(basis):
             np.testing.assert_array_equal(mat, np.eye(3))
 
     def test_explicit_square(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        basis = laplacian_basis(lap, 2)
-        np.testing.assert_array_equal(basis.powers[1], lap)
-        np.testing.assert_allclose(basis.powers[2], [[2.0, -2.0], [-2.0, 2.0]])
+        terms = applied_terms(laplacian_basis(lap, 2))
+        np.testing.assert_array_equal(terms[1], lap)
+        np.testing.assert_allclose(terms[2], [[2.0, -2.0], [-2.0, 2.0]])
 
     def test_power_recurrence(self):
         rng = np.random.default_rng(2)
         lap = normalized_laplacian(random_graph(rng, 6))
-        basis = laplacian_basis(lap, 4)
+        terms = applied_terms(laplacian_basis(lap, 4))
         for alpha in range(1, 5):
-            np.testing.assert_allclose(
-                basis.powers[alpha], basis.powers[alpha - 1] @ basis.powers[1], atol=1e-9
-            )
+            np.testing.assert_allclose(terms[alpha], terms[alpha - 1] @ terms[1], atol=1e-9)
 
     def test_chebyshev_recurrence(self):
         rng = np.random.default_rng(3)
         lap = normalized_laplacian(random_graph(rng, 5))
-        basis = laplacian_basis(lap, 3, CHEBYSHEV_BASIS)
+        terms = applied_terms(laplacian_basis(lap, 3, CHEBYSHEV_BASIS))
         rescaled = lap - np.eye(5)
-        np.testing.assert_allclose(basis.powers[1], rescaled)
-        np.testing.assert_allclose(
-            basis.powers[3], 2 * rescaled @ basis.powers[2] - basis.powers[1], atol=1e-12
-        )
+        np.testing.assert_allclose(terms[1], rescaled)
+        np.testing.assert_allclose(terms[3], 2 * rescaled @ terms[2] - terms[1], atol=1e-12)
 
     def test_negative_degree(self):
         with pytest.raises(ValueError):
@@ -277,6 +282,23 @@ class TestBasisRepresentation:
         assert {g.modality_id: b.sparse for g, b in zip(graph_list, bases)} == sparse
 
     @pytest.mark.parametrize("kind", [POWER_BASIS, CHEBYSHEV_BASIS])
+    @pytest.mark.parametrize("side", [6, 16])
+    def test_applied_terms_are_their_own_transpose(self, side, kind):
+        # Dense terms are symmetrized as they are built, so each is exactly
+        # its own transpose, and the backward pass may apply B_a for B_a^T.
+        # The CSR and factored recursions apply B_1 to every column a times,
+        # which is symmetric to rounding only: at most 8 ulps of the term's
+        # largest entry on these cities at K = 4.
+        graph_list = generate_synthetic(SynthConfig(side, side, 2, seed=5)).graphs
+        for basis in graph_bases(graph_list, 4, kind):
+            for term in applied_terms(basis):
+                if basis.sparse or basis.factored:
+                    bound = 64 * np.finfo(float).eps * np.abs(term).max()
+                    assert np.abs(term - term.T).max() <= bound
+                else:
+                    assert np.array_equal(term, term.T)
+
+    @pytest.mark.parametrize("kind", [POWER_BASIS, CHEBYSHEV_BASIS])
     @pytest.mark.parametrize("sparse", [True, False])
     @pytest.mark.parametrize("degree", [0, 1, 3])
     def test_spread_and_gather_match_powers(self, sparse, kind, degree):
@@ -302,15 +324,15 @@ class TestBasisRepresentation:
         x = rng.normal(size=(v, 2, 3))
         y = rng.normal(size=(v, 2, kp1, 3))
         spread_out = np.empty_like(y)
-        expected_gather = sum(p @ y[:, :, a].reshape(v, 6) for a, p in enumerate(basis.powers))
-        for transpose in (False, True):
-            basis.spread(x, spread_out, transpose)
-            for a, power in enumerate(basis.powers):
-                np.testing.assert_allclose(spread_out[:, :, a].reshape(v, 6),
-                                           power @ x.reshape(v, 6), rtol=1e-12, atol=1e-12)
-            gathered = basis.gather(y, transpose)
-            np.testing.assert_allclose(gathered.reshape(v, 6), expected_gather,
-                                       rtol=1e-12, atol=1e-12)
+        terms = basis_terms(basis)
+        expected_gather = sum(p @ y[:, :, a].reshape(v, 6) for a, p in enumerate(terms))
+        basis.spread(x, spread_out)
+        for a, term in enumerate(terms):
+            np.testing.assert_allclose(spread_out[:, :, a].reshape(v, 6),
+                                       term @ x.reshape(v, 6), rtol=1e-12, atol=1e-12)
+        gathered = basis.gather(y)
+        np.testing.assert_allclose(gathered.reshape(v, 6), expected_gather,
+                                   rtol=1e-12, atol=1e-12)
 
     def test_poi_basis_is_factored_on_16x16_and_dense_on_6x6(self):
         # 16 * 13 categories = 208 vertices: the 16x16 city (256) is above it
@@ -339,7 +361,7 @@ class TestBasisRepresentation:
                    for bases in (factored, dense)]
         (loss, grads), (dense_loss, dense_grads) = results
         assert loss == pytest.approx(dense_loss, rel=1e-13)
-        flat, dense_flat = layers.pack_grads(grads), layers.pack_grads(dense_grads)
+        flat, dense_flat = pack_grads(grads), pack_grads(dense_grads)
         assert np.abs(flat - dense_flat).max() <= 1e-13 * np.abs(dense_flat).max()
 
     def test_scipy_imported_only_for_sparse_graphs(self):

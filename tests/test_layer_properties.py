@@ -25,10 +25,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmgcn import graphs, layers
-from mmgcn.numerics import finite_diff_gradient
 from mmgcn.regularization import RegularizerConfig
 
-from conftest import poi_like, random_graph, ring_with_chords
+from conftest import (
+    cheb_conv,
+    finite_diff_gradient,
+    pack_grads,
+    pack_params,
+    poi_like,
+    random_graph,
+    ring_with_chords,
+    unpack_params,
+)
 
 GRAD_RTOL = 1e-4  # acceptance criterion 1
 FD_STEP = 1e-5
@@ -99,9 +107,9 @@ def reference_forward(x, bases, params):
         z = []
         for j in range(m):
             if spec.kind == layers.GGCN:
-                conv = sum(layers.cheb_conv(h[i], bases[i], layer.weights[i, j]) for i in range(m))
+                conv = sum(cheb_conv(h[i], bases[i], layer.weights[i, j]) for i in range(m))
             else:
-                conv = layers.cheb_conv(h[j], bases[j], layer.weights[:, :, :, j].transpose(2, 0, 1))
+                conv = cheb_conv(h[j], bases[j], layer.weights[:, :, :, j].transpose(2, 0, 1))
             z.append(conv + layer.biases[j])
         h = [np.maximum(zj, 0.0) if spec.activation == layers.RELU else zj for zj in z]
         pre.append(np.stack(z))
@@ -136,13 +144,13 @@ def check_gradients(bases, params, x, y):
             if spec.activation == layers.RELU:
                 assume(np.abs(z).min() > KINK_MARGIN)
     reg = RegularizerConfig(alpha_low=1e-2, alpha_high=1e-2)
-    analytic = layers.pack_grads(layers.batch_loss(x, y, bases, params, reg, with_grads=True)[1])
+    analytic = pack_grads(layers.batch_loss(x, y, bases, params, reg, with_grads=True)[1])
 
     def objective(flat):
-        candidate = layers.unpack_params(params, flat)
+        candidate = unpack_params(params, flat)
         return layers.batch_loss(x, y, bases, candidate, reg, with_grads=False)[0]
 
-    numeric = finite_diff_gradient(objective, layers.pack_params(params), FD_STEP)
+    numeric = finite_diff_gradient(objective, pack_params(params), FD_STEP)
     rel = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
     assert rel.max() < GRAD_RTOL
 

@@ -2,10 +2,20 @@ import numpy as np
 import pytest
 
 from mmgcn import graphs, layers
-from mmgcn.numerics import finite_diff_gradient
 from mmgcn.regularization import CovarianceSet, RegularizerConfig
 
-from conftest import numerical_rank, random_graph, random_spd, single_layer, tiny_network
+from conftest import (
+    cheb_conv,
+    finite_diff_gradient,
+    numerical_rank,
+    pack_grads,
+    pack_params,
+    random_graph,
+    random_spd,
+    single_layer,
+    tiny_network,
+    unpack_params,
+)
 
 
 def single_vertex_basis(degree=0):
@@ -20,11 +30,11 @@ class TestChebConv:
         basis = graphs.laplacian_basis(graphs.normalized_laplacian(g), 0)
         x = rng.normal(size=(4, 3))
         w = rng.normal(size=(1, 3, 2))
-        np.testing.assert_allclose(layers.cheb_conv(x, basis, w), x @ w[0])
+        np.testing.assert_allclose(cheb_conv(x, basis, w), x @ w[0])
 
     def test_zero_signal(self):
         basis = single_vertex_basis(2)
-        out = layers.cheb_conv(np.zeros((1, 3)), basis, np.ones((3, 3, 2)))
+        out = cheb_conv(np.zeros((1, 3)), basis, np.ones((3, 3, 2)))
         np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     def test_hand_computed_two_vertices(self):
@@ -32,14 +42,14 @@ class TestChebConv:
         basis = graphs.laplacian_basis(lap, 1)
         x = np.array([[1.0], [0.0]])
         w = np.ones((2, 1, 1))
-        np.testing.assert_allclose(layers.cheb_conv(x, basis, w), [[2.0], [-1.0]])
+        np.testing.assert_allclose(cheb_conv(x, basis, w), [[2.0], [-1.0]])
 
     def test_shape_mismatch(self):
         basis = single_vertex_basis(1)
         with pytest.raises(ValueError):
-            layers.cheb_conv(np.zeros((1, 2)), basis, np.zeros((2, 3, 2)))
+            cheb_conv(np.zeros((1, 2)), basis, np.zeros((2, 3, 2)))
         with pytest.raises(ValueError):
-            layers.cheb_conv(np.zeros((1, 2)), basis, np.zeros((1, 2, 2)))
+            cheb_conv(np.zeros((1, 2)), basis, np.zeros((1, 2, 2)))
 
 
 class TestGgcnForward:
@@ -79,7 +89,7 @@ class TestGgcnForward:
             xs = [rng.normal(size=(3, 5)) for _ in range(2)]
             out = layers.ggcn_forward(xs, bases, layer, layers.RELU)
             for j in range(2):
-                stack = layers.cheb_conv(xs[j], bases[j], layer.weights[j, j])
+                stack = cheb_conv(xs[j], bases[j], layer.weights[j, j])
                 expected = np.maximum(stack + layer.biases[j], 0.0)
                 np.testing.assert_allclose(out[j], expected, atol=1e-12)
 
@@ -124,7 +134,7 @@ class TestMrgcnForward:
         )
         x = rng.normal(size=(4, 3))
         out = layers.mrgcn_forward([x], [basis], layer, layers.IDENTITY)
-        expected = layers.cheb_conv(x, basis, joint[:, :, :, 0].transpose(2, 0, 1))
+        expected = cheb_conv(x, basis, joint[:, :, :, 0].transpose(2, 0, 1))
         np.testing.assert_allclose(out[0], expected, atol=1e-14)
 
 
@@ -231,14 +241,14 @@ class TestNetworkGradients:
             x = np.stack([a for a, _ in batch])
             y = np.stack([t[:, 0] for _, t in batch])
             _, grads = layers.batch_loss(x, y, bases, params, reg, with_grads=True)
-            analytic = layers.pack_grads(grads)
+            analytic = pack_grads(grads)
 
             def objective(flat):
-                candidate = layers.unpack_params(params, flat)
+                candidate = unpack_params(params, flat)
                 loss, _ = layers.batch_loss(x, y, bases, candidate, reg, with_grads=False)
                 return loss
 
-            numeric = finite_diff_gradient(objective, layers.pack_params(params), 1e-5)
+            numeric = finite_diff_gradient(objective, pack_params(params), 1e-5)
             assert self._relative_error(analytic, numeric).max() < 1e-4
 
     def test_gradient_sign_tracks_residual(self):
@@ -300,11 +310,11 @@ class TestSourceGraphContract:
         xs = [rng.normal(size=(4, 3)) for _ in range(2)]
         out = layers.ggcn_forward(xs, bases, layer, layers.IDENTITY)
         np.testing.assert_allclose(
-            out[1], layers.cheb_conv(xs[0], bases[0], weights[0, 1]), atol=1e-12
+            out[1], cheb_conv(xs[0], bases[0], weights[0, 1]), atol=1e-12
         )
         with pytest.raises(AssertionError):
             np.testing.assert_allclose(
-                out[1], layers.cheb_conv(xs[0], bases[1], weights[0, 1]), atol=1e-12
+                out[1], cheb_conv(xs[0], bases[1], weights[0, 1]), atol=1e-12
             )
 
 
@@ -333,22 +343,20 @@ class TestPerVertexBias:
         np.testing.assert_allclose(out[:, 0], [0.0, 2.0, 0.0])
 
     def test_gradients_match_finite_differences(self):
-        from mmgcn.numerics import finite_diff_gradient
-
         bases, params = self._net()
         rng = np.random.default_rng(12)
         reg = RegularizerConfig(alpha_low=1e-2, alpha_high=1e-2)
         batch = [(rng.uniform(size=(3, 4)), rng.uniform(size=(3, 1))) for _ in range(2)]
         x = np.stack([a for a, _ in batch])
         y = np.stack([b[:, 0] for _, b in batch])
-        analytic = layers.pack_grads(
+        analytic = pack_grads(
             layers.batch_loss(x, y, bases, params, reg, with_grads=True)[1])
 
         def objective(flat):
-            candidate = layers.unpack_params(params, flat)
+            candidate = unpack_params(params, flat)
             return layers.batch_loss(x, y, bases, candidate, reg, with_grads=False)[0]
 
-        numeric = finite_diff_gradient(objective, layers.pack_params(params), 1e-5)
+        numeric = finite_diff_gradient(objective, pack_params(params), 1e-5)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
         assert rel.max() < 1e-4
 
@@ -408,11 +416,11 @@ class TestBatchLossPurity:
 class TestParamPacking:
     def test_round_trip(self):
         _, _, _, params = tiny_network(kinds=("ggcn", "mrgcn"), dims=(3, 1))
-        flat = layers.pack_params(params)
-        rebuilt = layers.unpack_params(params, flat)
-        np.testing.assert_array_equal(layers.pack_params(rebuilt), flat)
+        flat = pack_params(params)
+        rebuilt = unpack_params(params, flat)
+        np.testing.assert_array_equal(pack_params(rebuilt), flat)
 
     def test_unpack_rejects_bad_size(self):
         _, _, _, params = tiny_network()
         with pytest.raises(ValueError):
-            layers.unpack_params(params, np.zeros(3))
+            unpack_params(params, np.zeros(3))

@@ -7,12 +7,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Kept for the tests alone: the references they compare against
-# (``cheb_conv``, ``finite_diff_gradient``), the flat-vector harness
-# ``finite_diff_gradient`` needs, and acceptance criterion 6's predictors.
-TEST_REFERENCES = {"cheb_conv", "finite_diff_gradient", "pack_params", "unpack_params",
-                   "pack_grads", "zeros_baseline_rmse", "historical_average_rmse"}
-
 
 def test_every_public_name_has_a_system_caller():
     uses = Counter()
@@ -28,5 +22,5 @@ def test_every_public_name_has_a_system_caller():
             if isinstance(node, ast.ClassDef):
                 defined += [m.name for m in node.body
                             if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
-    unused = sorted(name for name in defined if not uses[name] and name not in TEST_REFERENCES)
+    unused = sorted(name for name in defined if not uses[name])
     assert not unused, f"library names only tests reach: {unused}"

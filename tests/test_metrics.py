@@ -5,6 +5,8 @@ from mmgcn import metrics as M
 from mmgcn.numerics import NumericalFailure
 from mmgcn.regularization import CovarianceSet
 
+from conftest import historical_average_baseline, historical_average_rmse, zeros_baseline_rmse
+
 
 class TestRmse:
     def test_perfect_prediction(self):
@@ -161,7 +163,7 @@ class TestBaselines:
     def test_zeros_baseline(self):
         samples = self._samples()
         targets = M.stack_targets(samples)
-        assert M.zeros_baseline_rmse(samples) == pytest.approx(
+        assert zeros_baseline_rmse(samples) == pytest.approx(
             float(np.sqrt(np.mean(targets**2)))
         )
 
@@ -170,5 +172,5 @@ class TestBaselines:
         split = len(samples) // 2
         train, rest = samples[:split], samples[split:]
         expected = M.stack_targets(train).mean(axis=0)
-        np.testing.assert_allclose(M.historical_average_baseline(train), expected)
-        assert M.historical_average_rmse(train, rest) > 0.0
+        np.testing.assert_allclose(historical_average_baseline(train), expected)
+        assert historical_average_rmse(train, rest) > 0.0

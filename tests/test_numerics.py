@@ -5,13 +5,12 @@ import pytest
 
 from mmgcn.numerics import (
     NumericalFailure,
-    finite_diff_gradient,
     mode_product,
     mode_unfold,
     spd_inverse,
 )
 
-from conftest import mode_refold, numerical_rank, random_spd
+from conftest import finite_diff_gradient, mode_refold, numerical_rank, random_spd
 
 
 class TestModeUnfold:

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from mmgcn.numerics import (
-    finite_diff_gradient,
-    mode_product,
-    mode_unfold,
-    spd_inverse,
-)
+from mmgcn.numerics import mode_product, mode_unfold, spd_inverse
 from mmgcn.regularization import (
     FLIP_FLOP_INVERSE_MLE,
     FLIP_FLOP_LITERAL,
@@ -18,7 +13,7 @@ from mmgcn.regularization import (
     tensor_normal_loss,
 )
 
-from conftest import random_spd
+from conftest import finite_diff_gradient, random_spd
 
 
 def random_cov(rng, dims, frozen=(False, False, False, False)):

@@ -16,7 +16,7 @@ from mmgcn import graphs, layers
 from mmgcn import training as T
 from mmgcn.regularization import RegularizerConfig
 
-from conftest import random_graph, ring_with_chords
+from conftest import pack_grads, random_graph, ring_with_chords
 
 WINDOWS = 7
 REG = RegularizerConfig(alpha_low=1e-2, alpha_high=1e-2)
@@ -63,7 +63,7 @@ def run_loss(x, y, bases, params):
     sq_errors = []
     loss, grads = layers.batch_loss(x, y, bases, params, REG, with_grads=True,
                                     sq_errors=sq_errors)
-    return loss, sq_errors, layers.pack_grads(grads)
+    return loss, sq_errors, pack_grads(grads)
 
 
 @pytest.mark.parametrize("sparse", [False, True])

@@ -11,7 +11,13 @@ from mmgcn import training as T
 from mmgcn.numerics import NumericalFailure
 from mmgcn.regularization import RegularizerConfig
 
-from conftest import tiny_network
+from conftest import (
+    historical_average_rmse,
+    pack_grads,
+    pack_params,
+    tiny_network,
+    zeros_baseline_rmse,
+)
 
 
 def tiny_dataset(weeks=2, grid=4, seed=5, drift=0.0, noise=0.0, train_fraction=0.9):
@@ -104,9 +110,9 @@ class TestAdamStep:
 
     def test_zero_gradient_keeps_params(self):
         state = self._state()
-        before = L.pack_params(state.params)
+        before = pack_params(state.params)
         T.adam_step(state, self._zero_grads(state.params), T.TrainConfig())
-        np.testing.assert_array_equal(L.pack_params(state.params), before)
+        np.testing.assert_array_equal(pack_params(state.params), before)
         assert state.step == 1
 
     def test_first_step_moves_by_lr_sign(self):
@@ -117,10 +123,10 @@ class TestAdamStep:
             for l in state.params.layers
         ]
         cfg = T.TrainConfig(learning_rate=1e-3)
-        before = L.pack_params(state.params)
+        before = pack_params(state.params)
         T.adam_step(state, grads, cfg)
-        delta = L.pack_params(state.params) - before
-        flat = L.pack_grads(grads)
+        delta = pack_params(state.params) - before
+        flat = pack_grads(grads)
         np.testing.assert_allclose(
             delta, -cfg.learning_rate * flat / (np.abs(flat) + cfg.adam_eps), rtol=1e-9
         )
@@ -188,18 +194,19 @@ class TestTrain:
         assert result.history == []
         expected = L.init_network_params(net, 3, cfg.reg.frozen_modes)
         np.testing.assert_array_equal(
-            L.pack_params(result.state.params), L.pack_params(expected)
+            pack_params(result.state.params), pack_params(expected)
         )
 
-    def test_all_frozen_keeps_identity_covariances(self):
+    def test_all_frozen_keeps_identity_covariances(self, covariance_updates):
         ds, splits = tiny_dataset()
         cfg = T.TrainConfig(
             learning_rate=1e-2, max_epochs=2, seed=0,
             reg=RegularizerConfig(frozen_modes=("I", "O", "C", "M")),
         )
-        result = T.train(splits, ds.graphs, small_net(), cfg)
-        for epoch_snapshot in result.cov_snapshots:
-            for cov in epoch_snapshot:
+        T.train(splits, ds.graphs, small_net(), cfg)
+        assert covariance_updates
+        for update in covariance_updates:
+            for cov in update:
                 for sigma in cov.sigma:
                     np.testing.assert_array_equal(sigma, np.eye(sigma.shape[0]))
 
@@ -208,8 +215,8 @@ class TestTrain:
         cfg = T.TrainConfig(learning_rate=2e-2, max_epochs=10, patience=10, seed=0)
         result = T.train(splits, ds.graphs, small_net(), cfg)
         final_train_rmse = result.history[-1].train_rmse
-        assert final_train_rmse < M.zeros_baseline_rmse(splits["train"])
-        assert final_train_rmse < M.historical_average_rmse(splits["train"], splits["train"])
+        assert final_train_rmse < zeros_baseline_rmse(splits["train"])
+        assert final_train_rmse < historical_average_rmse(splits["train"], splits["train"])
 
     def test_deterministic(self):
         ds, splits = tiny_dataset()
@@ -218,7 +225,7 @@ class TestTrain:
         b = T.train(splits, ds.graphs, small_net(), cfg)
         assert a.history == b.history
         np.testing.assert_array_equal(
-            L.pack_params(a.state.params), L.pack_params(b.state.params)
+            pack_params(a.state.params), pack_params(b.state.params)
         )
 
     def test_returns_best_validation_params(self):
@@ -260,11 +267,11 @@ class TestTrain:
         losses = [row.train_rmse for row in result.history[:50]]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-    def test_spd_covariances_after_training(self):
+    def test_spd_covariances_after_training(self, covariance_updates):
         ds, splits = tiny_dataset()
         cfg = T.TrainConfig(learning_rate=1e-2, max_epochs=2, seed=0)
-        result = T.train(splits, ds.graphs, small_net(), cfg)
-        for cov in result.cov_snapshots[-1]:
+        T.train(splits, ds.graphs, small_net(), cfg)
+        for cov in covariance_updates[-1]:
             assert cov.frozen == (True, True, False, False)
             for mode, sigma in enumerate(cov.sigma):
                 np.testing.assert_allclose(sigma, sigma.T, atol=1e-10)
@@ -363,7 +370,7 @@ class TestCheckpoint:
         restored = T.load_checkpoint(tmp_path)
 
         np.testing.assert_array_equal(
-            L.pack_params(restored.params), L.pack_params(result.state.params)
+            pack_params(restored.params), pack_params(result.state.params)
         )
         for a, b in zip(restored.first_moment, result.state.first_moment):
             np.testing.assert_array_equal(a, b)
@@ -376,6 +383,29 @@ class TestCheckpoint:
             if isinstance(orig, L.MrgcnLayerParams):
                 for s_a, s_b in zip(orig.covariances.sigma, back.covariances.sigma):
                     np.testing.assert_array_equal(s_a, s_b)
+
+    def test_zero_epoch_checkpoint_is_strict_json(self, tmp_path):
+        # no epoch sets a best validation RMSE, so it stays inf and is
+        # written as null
+        ds, splits = tiny_dataset()
+        cfg = T.TrainConfig(max_epochs=0, seed=2)
+        state = T.train(splits, ds.graphs, small_net(), cfg).state
+        assert state.best_val_rmse == np.inf
+        T.save_checkpoint(tmp_path, state, cfg.reg.frozen_modes)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        manifest = json.loads((tmp_path / "checkpoint.json").read_text(), parse_constant=reject)
+        assert manifest["scalars"]["best_val_rmse"] is None
+        restored = T.load_checkpoint(tmp_path)
+        assert restored.best_val_rmse == np.inf
+        assert restored.best_epoch == -1
+        np.testing.assert_array_equal(pack_params(restored.params), pack_params(state.params))
+        copy = tmp_path / "copy"
+        T.save_checkpoint(copy, restored, cfg.reg.frozen_modes)
+        for name in ("checkpoint.json", "checkpoint.bin"):
+            assert (copy / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         ds, splits = tiny_dataset()
@@ -401,7 +431,7 @@ class TestCheckpoint:
 
         restored = T.load_checkpoint(tmp_path)
         np.testing.assert_array_equal(
-            L.pack_params(restored.params), L.pack_params(first.params)
+            pack_params(restored.params), pack_params(first.params)
         )
         assert restored.step == first.step
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin", "checkpoint.json"]
