@@ -146,6 +146,10 @@ def _resolve_run_config(path) -> dict:
     if not variant["use_tensor_normal"]:
         reg["alpha_high"] = 0.0
     dims = config["network"]["output_dims"]
+    for idx, dim in enumerate(dims):
+        if type(dim) is not int:  # a JSON boolean is never an integer
+            raise ValueError(f"config field config.network.output_dims[{idx}] must be int, "
+                             f"got {dim!r}")
     lower = len(dims) // 2
     config["network"]["layer_kinds"] = [
         variant["lower"] if i < lower else variant["higher"] for i in range(len(dims))

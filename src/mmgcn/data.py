@@ -277,6 +277,18 @@ def default_splits(cfg: SynthConfig, val_weeks: int = 1, test_weeks: int = 1) ->
     return {"train": [week, val_lo], "val": [val_lo, test_lo], "test": [test_lo, total]}
 
 
+# JSON type of every manifest field but ``splits``, which _checked_splits reads
+_MANIFEST_TYPES = {
+    "vertex_count": int,
+    "interval_minutes": int,
+    "grid_rows": int,
+    "grid_cols": int,
+    "demand_csv": str,
+    "poi_csv": str,
+    "road_csv": str,
+}
+
+
 def load_dataset(manifest_path) -> Dataset:
     """Read and validate a dataset; errors name the offending file."""
     manifest_path = Path(manifest_path)
@@ -285,22 +297,17 @@ def load_dataset(manifest_path) -> Dataset:
     manifest = json.loads(manifest_path.read_text())
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: manifest must be a JSON object")
-    required = {
-        "vertex_count",
-        "interval_minutes",
-        "demand_csv",
-        "poi_csv",
-        "road_csv",
-        "grid_rows",
-        "grid_cols",
-        "splits",
-    }
-    missing = required - manifest.keys()
+    missing = {*_MANIFEST_TYPES, "splits"} - manifest.keys()
     if missing:
         raise ValueError(f"{manifest_path}: missing manifest fields {sorted(missing)}")
+    for name, kind in _MANIFEST_TYPES.items():
+        value = manifest[name]
+        if type(value) is not kind:  # a JSON boolean is never an integer
+            raise ValueError(f"{manifest_path}: {name} must be "
+                             f"{'an integer' if kind is int else 'a string'}, got {value!r}")
     base = manifest_path.parent
-    n = int(manifest["vertex_count"])
-    if int(manifest["grid_rows"]) * int(manifest["grid_cols"]) != n:
+    n = manifest["vertex_count"]
+    if manifest["grid_rows"] * manifest["grid_cols"] != n:
         raise ValueError(f"{manifest_path}: grid dims do not multiply to vertex_count {n}")
 
     demand = _read_matrix(base / manifest["demand_csv"])
@@ -330,7 +337,7 @@ def load_dataset(manifest_path) -> Dataset:
             f"{base / manifest['road_csv']}: asymmetric at row {asym[0][0]}, col {asym[1][0]}"
         )
 
-    neighborhood = build_neighborhood(int(manifest["grid_rows"]), int(manifest["grid_cols"]))
+    neighborhood = build_neighborhood(manifest["grid_rows"], manifest["grid_cols"])
     try:
         poi_graph = build_poi_similarity(poi)
     except ValueError as exc:
@@ -340,16 +347,9 @@ def load_dataset(manifest_path) -> Dataset:
     except ValueError as exc:
         raise ValueError(f"{base / manifest['road_csv']}: {exc}") from exc
     graphs = [neighborhood, poi_graph, road_graph]
-    series = DemandSeries(demand, int(manifest["interval_minutes"]))
-    return Dataset(
-        graphs,
-        series,
-        poi,
-        road,
-        int(manifest["grid_rows"]),
-        int(manifest["grid_cols"]),
-        splits,
-    )
+    series = DemandSeries(demand, manifest["interval_minutes"])
+    return Dataset(graphs, series, poi, road, manifest["grid_rows"], manifest["grid_cols"],
+                   splits)
 
 
 def _checked_splits(splits, total: int, manifest_path: Path) -> dict:

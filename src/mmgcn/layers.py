@@ -134,7 +134,9 @@ class NetworkParams:
 def init_network_params(
     config: NetworkConfig, seed: int, frozen_modes=("I", "O")
 ) -> NetworkParams:
-    """Seeded uniform init in +-sqrt(6 / (f1 + f2)) per slice, zero biases."""
+    """Seeded uniform init in +-sqrt(6 / (f1 + f2)) per slice, zero biases.
+    The draws fill the logical weight shape in C order; the storage is in the
+    kernel's order (:func:`_kernel_layout`)."""
     rng = np.random.default_rng(seed)
     m = config.modalities
     kp1 = config.cheb_degree + 1
@@ -146,24 +148,26 @@ def init_network_params(
         else:
             biases = np.zeros((m, spec.out_dim))
         if spec.kind == GGCN:
-            weights = rng.uniform(-bound, bound, (m, m, kp1, spec.in_dim, spec.out_dim))
+            weights = _kernel_layout(
+                rng.uniform(-bound, bound, (m, m, kp1, spec.in_dim, spec.out_dim)))
             layers.append(GgcnLayerParams(weights, biases))
         else:
-            weights = rng.uniform(-bound, bound, (spec.in_dim, spec.out_dim, kp1, m))
+            weights = _kernel_layout(
+                rng.uniform(-bound, bound, (spec.in_dim, spec.out_dim, kp1, m)))
             cov = CovarianceSet.identity((spec.in_dim, spec.out_dim, kp1, m), frozen_modes)
             layers.append(MrgcnLayerParams(weights, biases, cov))
     return NetworkParams(config, layers)
 
 
 def copy_network_params(params: NetworkParams) -> NetworkParams:
+    """Deep copy; every weight tensor keeps its memory layout."""
     layers = []
     for layer in params.layers:
         if isinstance(layer, GgcnLayerParams):
-            layers.append(GgcnLayerParams(layer.weights.copy(), layer.biases.copy()))
+            layers.append(GgcnLayerParams(layer.weights.copy(order="K"), layer.biases.copy()))
         else:
-            layers.append(
-                MrgcnLayerParams(layer.weights.copy(), layer.biases.copy(), layer.covariances.copy())
-            )
+            layers.append(MrgcnLayerParams(layer.weights.copy(order="K"), layer.biases.copy(),
+                                           layer.covariances.copy()))
     return NetworkParams(params.config, layers)
 
 
@@ -199,13 +203,37 @@ def _propagates_input(f1: int, g: int) -> bool:
     return f1 <= g
 
 
-def _source_major(weights: np.ndarray, propagate_first: bool) -> np.ndarray:
-    """View of a GGCN (M, M, K+1, f1, f2) or MRGCN (f1, f2, K+1, M) weight
-    tensor with the source modality first and degree before feature on the
-    propagated side: (M, K+1, f1, [M,] f2) or (M, f1, K+1, [M,] f2)."""
-    if weights.ndim == 5:
-        return weights.transpose((0, 2, 3, 1, 4) if propagate_first else (0, 3, 2, 1, 4))
-    return weights.transpose((3, 2, 0, 1) if propagate_first else (3, 0, 2, 1))
+def _source_major_axes(shape) -> tuple:
+    """Axes of a GGCN (M, M, K+1, f1, f2) or MRGCN (f1, f2, K+1, M) weight
+    tensor in the kernel's order: the source modality first and degree before
+    feature on the propagated side, (M, K+1, f1, [M,] f2) when the layer
+    propagates its input and (M, f1, K+1, [M,] f2) when it propagates its
+    output."""
+    if len(shape) == 5:
+        m, f1, f2 = shape[0], shape[3], shape[4]
+        return (0, 2, 3, 1, 4) if _propagates_input(f1, m * f2) else (0, 3, 2, 1, 4)
+    f1, f2 = shape[:2]
+    return (3, 2, 0, 1) if _propagates_input(f1, f2) else (3, 0, 2, 1)
+
+
+def _source_major(weights: np.ndarray) -> np.ndarray:
+    """View of a weight tensor in the kernel's order; C-contiguous for
+    weights stored by :func:`_kernel_layout`."""
+    return weights.transpose(_source_major_axes(weights.shape))
+
+
+def _from_source_major(storage: np.ndarray, shape) -> np.ndarray:
+    """View, in the logical weight ``shape``, of contiguous ``storage`` that
+    holds the weights in the kernel's order."""
+    axes = _source_major_axes(shape)
+    return storage.reshape([shape[a] for a in axes]).transpose(np.argsort(axes))
+
+
+def _kernel_layout(weights: np.ndarray) -> np.ndarray:
+    """A copy of ``weights`` stored in the order the kernel reads, so that
+    no forward pass has to re-lay it out; only the strides differ from a
+    C-order copy, the logical shape and values are the same."""
+    return _from_source_major(np.ascontiguousarray(_source_major(weights)), weights.shape)
 
 
 def _bias_view(biases: np.ndarray) -> np.ndarray:
@@ -228,7 +256,8 @@ def _layer_forward(h, bases, layer, activation: str, keep_cache: bool):
     groups = 1 if isinstance(layer, GgcnLayerParams) else m
     g = m // groups * f2
     first = _propagates_input(f1, g)
-    w = np.ascontiguousarray(_source_major(layer.weights, first)).reshape(
+    # a view of weights stored by _kernel_layout; a copy of any other layout
+    w = np.ascontiguousarray(_source_major(layer.weights)).reshape(
         m, kp1 * f1 if first else f1, -1)
     if first:
         operand = np.empty((v, b, m, kp1, f1))
@@ -267,7 +296,7 @@ def _layer_backward(d_out, cache, bases, layer, need_dh: bool):
     first = _propagates_input(f1, g)
     dz = np.ascontiguousarray(
         d_out.reshape(groups, -1, v, b, f2).transpose(0, 2, 3, 1, 4)).reshape(groups, v * b, g)
-    d_mats = np.empty_like(w)
+    d_mats = np.empty(w.shape)  # the weight gradient's storage, in the kernel's order
     dh = np.empty((m, v, b, f1)) if need_dh else None
     if first:
         np.matmul(operand.reshape(v * b, groups, -1).transpose(1, 2, 0), dz,
@@ -283,10 +312,7 @@ def _layer_backward(d_out, cache, bases, layer, need_dh: bool):
             np.matmul(operand[i].reshape(v * b, f1).T, dq.reshape(v * b, -1), out=d_mats[i])
             if need_dh:
                 dh[i] = (dq.reshape(v * b, -1) @ w[i].T).reshape(v, b, f1)
-    d_weights = np.empty_like(layer.weights)
-    view = _source_major(d_weights, first)
-    view[...] = d_mats.reshape(view.shape)
-    return dh, LayerGrads(d_weights, d_biases)
+    return dh, LayerGrads(_from_source_major(d_mats, layer.weights.shape), d_biases)
 
 
 def _forward_batch(x_batch, bases, params: NetworkParams, keep_caches=False,

@@ -1,10 +1,11 @@
 """Tensor-mode algebra and small linear-algebra primitives.
 
-4-mode weight tensors are plain ``numpy`` arrays with the canonical mode order
-(input, output, polynomial-degree, modality) and C (row-major) memory layout,
-so ``arr.reshape(-1)`` is the canonical vectorization: the last mode varies
-fastest.  Every Kronecker-product identity in this package is pinned to that
-convention.
+4-mode weight tensors are plain ``numpy`` arrays with the canonical logical
+mode order (input, output, polynomial-degree, modality).  Their memory order
+may differ (the layers store them in the order their kernel reads), but
+``arr.reshape(-1)`` still reads the logical C order and so remains the
+canonical vectorization: the last mode varies fastest.  Every
+Kronecker-product identity in this package is pinned to that convention.
 """
 
 from __future__ import annotations

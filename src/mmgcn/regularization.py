@@ -108,10 +108,12 @@ def group_lasso(weights: np.ndarray, alpha_intra: float):
 
     Intra-modality blocks (i == j) are discounted by ``alpha_intra``;
     inter-modality blocks carry weight 1.  Returns (loss, subgradient), with
-    subgradient 0 on exactly-zero blocks.
+    subgradient 0 on exactly-zero blocks.  The norms are summed over a
+    C-order copy, so the same values in any memory layout give the same bits.
     """
     modalities = weights.shape[0]
-    norms = np.sqrt(np.einsum("ijabc,ijabc->ij", weights, weights))
+    canonical = np.ascontiguousarray(weights)
+    norms = np.sqrt(np.einsum("ijabc,ijabc->ij", canonical, canonical))
     coeff = np.where(np.eye(modalities, dtype=bool), alpha_intra, 1.0)
     loss = float((coeff * norms).sum())
     safe = np.where(norms > 0.0, norms, 1.0)

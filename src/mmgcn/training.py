@@ -81,13 +81,28 @@ def init_train_state(params: L.NetworkParams, seed: int) -> TrainState:
     )
 
 
+def _storage_order(param, grad, m, v):
+    """Views of the four Adam operands with their axes in ``param``'s storage
+    order, largest stride first.  A parameter and moments stored without
+    gaps, as the library allocates them, are then C-contiguous, so every
+    update is one contiguous loop; an operand of another layout is read
+    through its strides, element for element."""
+    if param.flags.c_contiguous:
+        return param, grad, m, v
+    axes = sorted(range(param.ndim), key=lambda axis: -param.strides[axis])
+    return [arr.transpose(axes) for arr in (param, grad, m, v)]
+
+
 def adam_step(state: TrainState, grads, cfg: TrainConfig) -> TrainState:
     """Standard bias-corrected Adam, in place; rejects non-finite gradients.
 
     Every parameter is updated through two scratch arrays, with the same
     IEEE operations in the same order as ``m_hat = m / (1 - beta1**t)``,
     ``v_hat = v / (1 - beta2**t)``,
-    ``param -= lr * m_hat / (sqrt(v_hat) + eps)``."""
+    ``param -= lr * m_hat / (sqrt(v_hat) + eps)``.  Each array is read in
+    its parameter's storage order (:func:`_storage_order`), so the update is
+    a contiguous loop whatever that order is, and a gradient in any layout
+    gives the same bits."""
     named = L.named_param_arrays(state.params)
     flat_grads = []
     for layer_grads in grads:
@@ -98,6 +113,7 @@ def adam_step(state: TrainState, grads, cfg: TrainConfig) -> TrainState:
     scratch_a, scratch_b = np.empty(size), np.empty(size)
     for (name, param), grad, m, v in zip(named, flat_grads, state.first_moment,
                                          state.second_moment):
+        param, grad, m, v = _storage_order(param, grad, m, v)
         if not np.isfinite(grad).all():
             raise NumericalFailure(f"non-finite gradient in {name}")
         a = scratch_a[: param.size].reshape(param.shape)
@@ -143,8 +159,8 @@ def evaluate_rmse(samples, bases, params: L.NetworkParams) -> float:
 def _snapshot_optimizer(state: TrainState):
     return (
         L.copy_network_params(state.params),
-        [m.copy() for m in state.first_moment],
-        [v.copy() for v in state.second_moment],
+        [m.copy(order="K") for m in state.first_moment],
+        [v.copy(order="K") for v in state.second_moment],
         state.step,
         copy.deepcopy(state.rng.bit_generator.state),
     )

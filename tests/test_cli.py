@@ -275,9 +275,13 @@ def test_json_artifacts_are_strict(tmp_path):
      "config.analysis.max_samples"),
     ("analyze", {"manifest": "m.json", "analysis": {"edge_threshold": -0.5}},
      "config.analysis.edge_threshold"),
+    ("train", {"manifest": "m.json", "network": {"output_dims": [32, "a", 1]}},
+     "config.network.output_dims[1]"),
+    ("train", {"manifest": "m.json", "network": {"output_dims": [4, 2.5, 1]}},
+     "config.network.output_dims[1]"),
 ], ids=["network-number", "top-level-list", "reg-number", "batch-size-string", "seed-string",
         "grid-rows-string", "grid-rows-float", "manifest-number", "max-samples-negative",
-        "max-samples-zero", "edge-threshold-negative"])
+        "max-samples-zero", "edge-threshold-negative", "output-dim-string", "output-dim-float"])
 def test_malformed_config_exits_2_naming_field(tmp_path, capsys, command, payload, field):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(payload))
@@ -302,7 +306,16 @@ def city3x3(tmp_path_factory):
      "splits.val must be"),
     (lambda manifest: {**manifest, "splits": {**manifest["splits"], "test": [1008, 99999]}},
      "splits.test must be a pair of integers [lo, hi] with 0 <= lo <= hi <= 1344"),
-], ids=["not-an-object", "val-missing", "val-string", "test-past-end"])
+    (lambda manifest: {**manifest, "demand_csv": 5}, "demand_csv must be a string, got 5"),
+    (lambda manifest: {**manifest, "vertex_count": 9.7},
+     "vertex_count must be an integer, got 9.7"),
+    (lambda manifest: {**manifest, "interval_minutes": 30.5},
+     "interval_minutes must be an integer, got 30.5"),
+    (lambda manifest: {**manifest, "grid_rows": "3"}, "grid_rows must be an integer, got '3'"),
+    (lambda manifest: {**manifest, "vertex_count": True},
+     "vertex_count must be an integer, got True"),
+], ids=["not-an-object", "val-missing", "val-string", "test-past-end", "demand-csv-number",
+        "vertex-count-float", "interval-float", "grid-rows-string", "vertex-count-bool"])
 def test_malformed_manifest_exits_2(city3x3, tmp_path, capsys, edit, message):
     manifest = json.loads((city3x3 / "manifest.json").read_text())
     edited = write_json(city3x3 / f"{tmp_path.name}.json", edit(manifest))
