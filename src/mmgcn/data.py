@@ -294,7 +294,10 @@ def load_dataset(manifest_path) -> Dataset:
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise ValueError(f"{manifest_path}: manifest not found")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{manifest_path}: not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: manifest must be a JSON object")
     missing = {*_MANIFEST_TYPES, "splits"} - manifest.keys()

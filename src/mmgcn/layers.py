@@ -159,18 +159,6 @@ def init_network_params(
     return NetworkParams(config, layers)
 
 
-def copy_network_params(params: NetworkParams) -> NetworkParams:
-    """Deep copy; every weight tensor keeps its memory layout."""
-    layers = []
-    for layer in params.layers:
-        if isinstance(layer, GgcnLayerParams):
-            layers.append(GgcnLayerParams(layer.weights.copy(order="K"), layer.biases.copy()))
-        else:
-            layers.append(MrgcnLayerParams(layer.weights.copy(order="K"), layer.biases.copy(),
-                                           layer.covariances.copy()))
-    return NetworkParams(params.config, layers)
-
-
 def named_param_arrays(params: NetworkParams):
     """Trainable arrays in a fixed order (covariances are not trainable)."""
     out = []

@@ -99,9 +99,6 @@ class CovarianceSet:
             raise ValueError(f"mode {MODE_NAMES[mode]} is frozen")
         self.sigma[mode] = matrix
 
-    def copy(self) -> "CovarianceSet":
-        return CovarianceSet([s.copy() for s in self.sigma], self.frozen)
-
 
 def group_lasso(weights: np.ndarray, alpha_intra: float):
     """Blockwise Frobenius penalty on a (M, M, K+1, f1, f2) weight tensor.

@@ -156,30 +156,13 @@ def evaluate_rmse(samples, bases, params: L.NetworkParams) -> float:
     return rmse(predictions, stack_targets(samples))
 
 
-def _snapshot_optimizer(state: TrainState):
-    return (
-        L.copy_network_params(state.params),
-        [m.copy(order="K") for m in state.first_moment],
-        [v.copy(order="K") for v in state.second_moment],
-        state.step,
-        copy.deepcopy(state.rng.bit_generator.state),
-    )
-
-
-def _restore_optimizer(state: TrainState, snapshot) -> None:
-    params, first, second, step, rng_state = snapshot
-    state.params = params
-    state.first_moment = first
-    state.second_moment = second
-    state.step = step
-    state.rng.bit_generator.state = rng_state
-
-
 def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig,
           basis_kind: str = POWER_BASIS) -> TrainResult:
     """Mini-batch loop: seeded shuffle per epoch, Adam on the total objective,
-    covariance re-estimation every ``cov_update_every`` batches, and early
-    stopping that returns the parameters with the best validation RMSE.
+    covariance re-estimation whenever ``state.step`` is a multiple of
+    ``cov_update_every``, and early stopping that returns the state of the
+    epoch with the best validation RMSE: a deep copy (each array keeps its
+    memory order) carrying the run's final ``epochs_since_improvement``.
 
     An epoch's ``train_rmse`` is pooled over the predictions its training
     steps make, each with the parameters in place before that batch's
@@ -191,11 +174,10 @@ def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig,
     params = L.init_network_params(net_config, cfg.seed, cfg.reg.frozen_modes)
     state = init_train_state(params, cfg.seed)
     history = []
-    best = _snapshot_optimizer(state)
+    best = state  # until an epoch improves; the first finite one always does
 
     targets = stack_targets(train_samples)
     inputs = np.stack([s.input for s in train_samples])
-    batch_counter = 0
     for epoch in range(cfg.max_epochs):
         order = state.rng.permutation(len(train_samples))
         sq_errors = []
@@ -207,8 +189,7 @@ def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig,
                     with_grads=True, sq_errors=sq_errors,
                 )
                 adam_step(state, grads, cfg)
-                batch_counter += 1
-                if batch_counter % cfg.cov_update_every == 0:
+                if state.step % cfg.cov_update_every == 0:
                     _update_covariances(state.params, cfg.reg)
             except NumericalFailure as exc:
                 raise NumericalFailure(
@@ -227,13 +208,13 @@ def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig,
             state.best_val_rmse = val_rmse
             state.best_epoch = epoch
             state.epochs_since_improvement = 0
-            best = _snapshot_optimizer(state)
+            best = copy.deepcopy(state)
         else:
             state.epochs_since_improvement += 1
             if state.epochs_since_improvement >= cfg.patience:
                 break
-    _restore_optimizer(state, best)
-    return TrainResult(state, history)
+    best.epochs_since_improvement = state.epochs_since_improvement
+    return TrainResult(best, history)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +239,8 @@ def _net_config_to_dict(config: L.NetworkConfig) -> dict:
 
 
 def net_config_from_dict(payload: dict) -> L.NetworkConfig:
+    """The network a ``checkpoint.json`` ``net_config`` object describes, whose
+    JSON types :func:`load_checkpoint` has checked."""
     specs = tuple(
         L.LayerSpec(s["kind"], s["in_dim"], s["out_dim"], s["activation"])
         for s in payload["layers"]
@@ -388,12 +371,79 @@ class _Fields(dict):
         raise ValueError(f"checkpoint.json is missing field {key!r}")
 
 
+_JSON_TYPES = {  # a JSON boolean is never a number
+    "an integer": (int,),
+    "an integer or null": (int, type(None)),
+    "a finite number or null": (int, float, type(None)),
+    "a string": (str,),
+    "a boolean": (bool,),
+}
+
+# The JSON type of every ``checkpoint.json`` field that load_checkpoint reads:
+# an object maps its fields, a list holds one element type.
+_CHECKPOINT_TYPES = {
+    "version": "an integer",
+    "net_config": {
+        "modalities": "an integer",
+        "cheb_degree": "an integer",
+        "per_vertex_bias": "a boolean",
+        "vertex_count": "an integer or null",
+        "layers": [{"kind": "a string", "in_dim": "an integer", "out_dim": "an integer",
+                    "activation": "a string"}],
+    },
+    "frozen_modes": ["a string"],
+    "tensor_index": [{"name": "a string", "shape": ["an integer"], "offset": "an integer"}],
+    "scalars": {
+        "step": "an integer",
+        "best_val_rmse": "a finite number or null",
+        "best_epoch": "an integer",
+        "epochs_since_improvement": "an integer",
+    },
+    "rng_state": {
+        "bit_generator": "a string",
+        "state": {"state": "an integer", "inc": "an integer"},
+        "has_uint32": "an integer",
+        "uinteger": "an integer",
+    },
+}
+
+
+def _check_types(value, types, field: str = "") -> None:
+    """Raise ``ValueError`` naming the first field of ``value`` whose JSON type
+    is not the one ``types`` gives; a missing field raises once it is read."""
+    if isinstance(types, dict):
+        kind, ok = "an object", isinstance(value, dict)
+    elif isinstance(types, list):
+        kind, ok = "a list", type(value) is list
+    else:
+        # NaN and Infinity parse as floats, but save_checkpoint never writes them
+        kind = types
+        ok = type(value) in _JSON_TYPES[types] and (type(value) is not float
+                                                   or np.isfinite(value))
+    if not ok:
+        name = f"checkpoint.json field {field}" if field else "checkpoint.json"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    if isinstance(types, dict):
+        for key, sub in types.items():
+            if key in value:
+                _check_types(value[key], sub, f"{field}.{key}" if field else key)
+    elif isinstance(types, list):
+        for idx, item in enumerate(value):
+            _check_types(item, types[0], f"{field}[{idx}]")
+
+
 def load_checkpoint(out_dir) -> TrainState:
-    """Restore a checkpoint; a missing manifest field, a blob or index that
-    does not match the network it describes, or a frozen covariance mode that
-    is not exactly ``I`` raises ``ValueError`` naming the field, tensor or mode."""
+    """Restore a checkpoint; a manifest that is not valid JSON, a missing or
+    wrongly typed manifest field, a blob or index that does not match the
+    network it describes, or a frozen covariance mode that is not exactly
+    ``I`` raises ``ValueError`` naming the file, field, tensor or mode."""
     out = Path(out_dir)
-    manifest = json.loads((out / "checkpoint.json").read_text(), object_hook=_Fields)
+    path = out / "checkpoint.json"
+    try:
+        manifest = json.loads(path.read_text(), object_hook=_Fields)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    _check_types(manifest, _CHECKPOINT_TYPES)
     if manifest["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {manifest['version']}")
     blob = (out / "checkpoint.bin").read_bytes()

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -106,7 +108,7 @@ def covariance_updates(monkeypatch):
 
     def spy(params, reg):
         update(params, reg)
-        passes.append([layer.covariances.copy() for layer in params.layers
+        passes.append([copy.deepcopy(layer.covariances) for layer in params.layers
                        if isinstance(layer, layers.MrgcnLayerParams)])
 
     monkeypatch.setattr(training, "_update_covariances", spy)
@@ -168,7 +170,7 @@ def pack_params(params):
 
 def unpack_params(params, flat):
     """New parameter structure with trainable values taken from ``flat``."""
-    result = layers.copy_network_params(params)
+    result = copy.deepcopy(params)
     offset = 0
     for _, arr in layers.named_param_arrays(result):
         arr[...] = flat[offset : offset + arr.size].reshape(arr.shape)

@@ -327,6 +327,71 @@ def test_malformed_manifest_exits_2(city3x3, tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def run3x3(city3x3, tmp_path_factory):
+    """A one-epoch run on the 3x3 city; returns its config and run directory."""
+    root = tmp_path_factory.mktemp("run3x3")
+    config = write_json(root / "run.json", {
+        "manifest": str(city3x3 / "manifest.json"),
+        "network": {"output_dims": [2, 1], "cheb_degree": 1}, "train": {"max_epochs": 1},
+    })
+    assert dispatch(["train", "--config", str(config), "--out", str(root / "run")]) == 0
+    return config, root / "run"
+
+
+def _set(path, value):
+    """An edit that sets the field at ``path`` of a parsed JSON document."""
+    def edit(document):
+        *keys, last = path
+        holder = document
+        for key in keys:
+            holder = holder[key]
+        holder[last] = value
+        return document
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda manifest: [1, 2], "checkpoint.json must be an object, got [1, 2]"),
+    (_set(["tensor_index", 0], [1]),
+     "checkpoint.json field tensor_index[0] must be an object, got [1]"),
+    (_set(["net_config", "layers", 0, "in_dim"], "5"),
+     "checkpoint.json field net_config.layers[0].in_dim must be an integer, got '5'"),
+    (_set(["scalars", "step"], "x"),
+     "checkpoint.json field scalars.step must be an integer, got 'x'"),
+    (_set(["scalars", "best_epoch"], 1.5),
+     "checkpoint.json field scalars.best_epoch must be an integer, got 1.5"),
+    (_set(["scalars", "best_val_rmse"], float("nan")),
+     "checkpoint.json field scalars.best_val_rmse must be a finite number or null, got nan"),
+], ids=["not-an-object", "index-entry-list", "in-dim-string", "step-string",
+        "best-epoch-float", "best-val-rmse-nan"])
+def test_malformed_checkpoint_exits_2_naming_field(run3x3, tmp_path, capsys, edit, message):
+    config, run = run3x3
+    copied = tmp_path / "run"
+    shutil.copytree(run, copied)
+    manifest = json.loads((copied / "checkpoint.json").read_text())
+    write_json(copied / "checkpoint.json", edit(manifest))
+    assert dispatch(["evaluate", "--config", str(config), "--out", str(copied)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_invalid_json_names_the_file(run3x3, tmp_path, capsys):
+    config, run = run3x3
+    copied = tmp_path / "run"
+    shutil.copytree(run, copied)
+    checkpoint = copied / "checkpoint.json"
+    checkpoint.write_text("{bad")
+    assert dispatch(["evaluate", "--config", str(config), "--out", str(copied)]) == 2
+    assert f"error: {checkpoint}: not valid JSON: " in capsys.readouterr().err
+
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{bad")
+    config = write_json(tmp_path / "bad_manifest.json", {
+        **json.loads(config.read_text()), "manifest": str(manifest)})
+    assert dispatch(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {manifest}: not valid JSON: " in capsys.readouterr().err
+
+
 def test_echoed_defaults_match_dataclasses(tmp_path):
     # 60-minute intervals halve the windows of a full default-length fit
     given = {"grid_rows": 2, "grid_cols": 2, "weeks": 4, "interval_minutes": 60}

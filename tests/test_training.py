@@ -253,6 +253,41 @@ class TestTrain:
         assert result.state.best_epoch == best_epoch
         assert len(result.history) == best_epoch + cfg.patience + 1
 
+    def test_early_stopped_run_returns_best_epochs_whole_state(self, tmp_path):
+        # stops after 19 epochs with best epoch 15; a run of 16 epochs ends on
+        # that epoch, so both must return its state: 16 epochs of 10 batches
+        # (step 160), with a covariance pass every 3 steps across epochs
+        ds, splits = tiny_dataset(noise=1.0, drift=2.0)
+        states = []
+        for max_epochs in (40, 16):
+            cfg = T.TrainConfig(learning_rate=2e-2, max_epochs=max_epochs, patience=3,
+                                cov_update_every=3, seed=0)
+            result = T.train(splits, ds.graphs, small_net(), cfg)
+            T.save_checkpoint(tmp_path / str(max_epochs), result.state, cfg.reg.frozen_modes)
+            states.append(result.state)
+        stopped, straight = states
+        assert (stopped.best_epoch, straight.best_epoch) == (15, 15)
+        assert (stopped.step, straight.step) == (160, 160)
+        assert (stopped.epochs_since_improvement, straight.epochs_since_improvement) == (3, 0)
+        assert stopped.best_val_rmse == straight.best_val_rmse
+        np.testing.assert_array_equal(pack_params(stopped.params), pack_params(straight.params))
+        for moments in ("first_moment", "second_moment"):
+            for a, b in zip(getattr(stopped, moments), getattr(straight, moments)):
+                np.testing.assert_array_equal(a, b)
+        for a, b in zip(stopped.params.layers, straight.params.layers):
+            if isinstance(a, L.MrgcnLayerParams):
+                for s_a, s_b in zip(a.covariances.sigma, b.covariances.sigma):
+                    np.testing.assert_array_equal(s_a, s_b)
+        assert stopped.rng.bit_generator.state == straight.rng.bit_generator.state
+        stopped_dir, straight_dir = tmp_path / "40", tmp_path / "16"
+        assert ((stopped_dir / "checkpoint.bin").read_bytes()
+                == (straight_dir / "checkpoint.bin").read_bytes())
+        stopped_json = json.loads((stopped_dir / "checkpoint.json").read_text())
+        straight_json = json.loads((straight_dir / "checkpoint.json").read_text())
+        assert stopped_json["scalars"].pop("epochs_since_improvement") == 3
+        assert straight_json["scalars"].pop("epochs_since_improvement") == 0
+        assert stopped_json == straight_json
+
     def test_loss_nonincreasing_single_sample(self):
         # one sample, one step per epoch, regularizers off, small lr
         ds, splits = tiny_dataset()
