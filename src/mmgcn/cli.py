@@ -24,6 +24,7 @@ from . import layers as L
 from . import metrics as M
 from . import training as T
 from .graphs import CHEBYSHEV_BASIS, POWER_BASIS, compare_graphs, graph_bases, graph_density
+from .jsonio import checked, read_json
 from .numerics import NumericalFailure
 from .regularization import RegularizerConfig
 
@@ -45,7 +46,7 @@ VARIANTS = {
 
 def _field_defaults(cls, skip=()) -> dict:
     """A dataclass's defaults by field name; a field without one maps to its
-    annotated type, which ``_merge_defaults`` treats as required."""
+    annotated type, which a ``jsonio`` schema treats as required."""
     types = get_type_hints(cls)
     return {f.name: types[f.name] if f.default is MISSING else f.default
             for f in fields(cls) if f.name not in skip}
@@ -71,55 +72,18 @@ _RUN_DEFAULTS = {
 
 _SYNTH_DEFAULTS = {**_field_defaults(D.SynthConfig), "val_weeks": 1, "test_weeks": 1}
 
-def _object(section, context: str) -> dict:
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {context} must be a JSON object")
-    return section
-
-
-def _merge_defaults(config: dict, defaults: dict, context: str) -> dict:
-    """``config`` over ``defaults``, where a default that is a type marks a
-    required field of that type.  A value has its default's JSON type, where
-    an integer is also a number and a boolean is never one."""
-    resolved = {}
-    for key, default in defaults.items():
-        name = f"{context}.{key}"
-        if isinstance(default, dict):
-            resolved[key] = _merge_defaults(_object(config.get(key, {}), name), default, name)
-            continue
-        required = isinstance(default, type)
-        kind = default if required else type(default)
-        resolved[key] = value = config.get(key, None if required else default)
-        allowed = (float, int) if kind is float else (kind,)
-        if not (required and value is None) and type(value) not in allowed:
-            raise ValueError(f"config field {name} must be {kind.__name__}, got {value!r}")
-    unknown = set(config) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown config field {context}.{sorted(unknown)[0]}")
-    for key, value in resolved.items():
-        if value is None:
-            raise ValueError(f"missing required config field {context}.{key}")
-    return resolved
-
-
-def _read_config(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ValueError(f"config file {path} not found")
-    try:
-        return _object(json.loads(path.read_text()), "config")
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
-
 
 def _resolve_run_config(path) -> dict:
-    raw = _read_config(path)
+    raw = read_json(path)
     # derived fields are recomputed from the variant, so a previously written
     # run.json can be fed back in as a config
-    _object(raw.get("network", {}), "config.network").pop("layer_kinds", None)
-    train = _object(raw.get("train", {}), "config.train")
-    _object(train.get("reg", {}), "config.train.reg").pop("frozen_modes", None)
-    config = _merge_defaults(raw, _RUN_DEFAULTS, "config")
+    for *sections, derived in (("network", "layer_kinds"), ("train", "reg", "frozen_modes")):
+        holder = raw
+        for key in sections:
+            holder = holder.get(key) if isinstance(holder, dict) else None
+        if isinstance(holder, dict):
+            holder.pop(derived, None)
+    config = checked(raw, _RUN_DEFAULTS, "config")
     if config["variant"] not in VARIANTS:
         raise ValueError(
             f"unknown config field value variant={config['variant']!r}; "
@@ -129,10 +93,10 @@ def _resolve_run_config(path) -> dict:
         raise ValueError(f"unknown basis {config['network']['basis']!r}")
     analysis = config["analysis"]
     if analysis["max_samples"] < 1:
-        raise ValueError("config field config.analysis.max_samples must be >= 1, "
+        raise ValueError("config.analysis.max_samples must be >= 1, "
                          f"got {analysis['max_samples']!r}")
-    if not analysis["edge_threshold"] >= 0.0:  # also rejects NaN
-        raise ValueError("config field config.analysis.edge_threshold must be nonnegative, "
+    if analysis["edge_threshold"] < 0.0:
+        raise ValueError("config.analysis.edge_threshold must be nonnegative, "
                          f"got {analysis['edge_threshold']!r}")
     manifest = Path(config["manifest"])
     if not manifest.is_absolute():
@@ -146,10 +110,6 @@ def _resolve_run_config(path) -> dict:
     if not variant["use_tensor_normal"]:
         reg["alpha_high"] = 0.0
     dims = config["network"]["output_dims"]
-    for idx, dim in enumerate(dims):
-        if type(dim) is not int:  # a JSON boolean is never an integer
-            raise ValueError(f"config field config.network.output_dims[{idx}] must be int, "
-                             f"got {dim!r}")
     lower = len(dims) // 2
     config["network"]["layer_kinds"] = [
         variant["lower"] if i < lower else variant["higher"] for i in range(len(dims))
@@ -198,7 +158,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _cmd_synth(config_path, out_dir) -> int:
-    config = _merge_defaults(_read_config(config_path), _SYNTH_DEFAULTS, "config")
+    config = checked(read_json(config_path), _SYNTH_DEFAULTS, "config")
     synth_cfg = D.SynthConfig(**{k: v for k, v in config.items()
                                  if k not in ("val_weeks", "test_weeks")})
     dataset = D.generate_synthetic(synth_cfg)

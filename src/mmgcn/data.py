@@ -9,6 +9,7 @@ with a seeded, fully reproducible city whose temporal drift is controllable.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,7 @@ from .graphs import (
     build_poi_similarity,
     build_road_connectivity,
 )
+from .jsonio import checked, read_json
 
 MINUTES_PER_DAY = 1440
 
@@ -138,8 +140,10 @@ class SynthConfig:
             raise ValueError("at least 2 weeks are needed to window with trend")
         if self.poi_categories < 1:
             raise ValueError("poi_categories must be positive")
-        if self.drift_rate < 0 or self.noise_scale < 0:
-            raise ValueError("drift_rate and noise_scale must be nonnegative")
+        for name in ("drift_rate", "noise_scale"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails it too
+                raise ValueError(f"{name} must be nonnegative and finite, "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -277,8 +281,7 @@ def default_splits(cfg: SynthConfig, val_weeks: int = 1, test_weeks: int = 1) ->
     return {"train": [week, val_lo], "val": [val_lo, test_lo], "test": [test_lo, total]}
 
 
-# JSON type of every manifest field but ``splits``, which _checked_splits reads
-_MANIFEST_TYPES = {
+_MANIFEST_SCHEMA = {
     "vertex_count": int,
     "interval_minutes": int,
     "grid_rows": int,
@@ -286,28 +289,14 @@ _MANIFEST_TYPES = {
     "demand_csv": str,
     "poi_csv": str,
     "road_csv": str,
+    "splits": {name: [int] for name in SPLIT_NAMES},
 }
 
 
 def load_dataset(manifest_path) -> Dataset:
     """Read and validate a dataset; errors name the offending file."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise ValueError(f"{manifest_path}: manifest not found")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{manifest_path}: not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{manifest_path}: manifest must be a JSON object")
-    missing = {*_MANIFEST_TYPES, "splits"} - manifest.keys()
-    if missing:
-        raise ValueError(f"{manifest_path}: missing manifest fields {sorted(missing)}")
-    for name, kind in _MANIFEST_TYPES.items():
-        value = manifest[name]
-        if type(value) is not kind:  # a JSON boolean is never an integer
-            raise ValueError(f"{manifest_path}: {name} must be "
-                             f"{'an integer' if kind is int else 'a string'}, got {value!r}")
+    manifest = checked(read_json(manifest_path), _MANIFEST_SCHEMA, str(manifest_path))
     base = manifest_path.parent
     n = manifest["vertex_count"]
     if manifest["grid_rows"] * manifest["grid_cols"] != n:
@@ -357,16 +346,9 @@ def load_dataset(manifest_path) -> Dataset:
 
 def _checked_splits(splits, total: int, manifest_path: Path) -> dict:
     """The manifest's train/val/test target-index ranges, each a pair of
-    integers with 0 <= lo <= hi <= ``total``, and no other split."""
-    if not isinstance(splits, dict):
-        raise ValueError(f"{manifest_path}: splits must be a JSON object, got {splits!r}")
-    unknown = sorted(set(splits) - set(SPLIT_NAMES))
-    if unknown:
-        raise ValueError(f"{manifest_path}: unknown split splits.{unknown[0]}")
-    for name in SPLIT_NAMES:
-        bounds = splits.get(name)
-        if not (isinstance(bounds, list) and len(bounds) == 2
-                and all(type(b) is int for b in bounds) and 0 <= bounds[0] <= bounds[1] <= total):
-            raise ValueError(f"{manifest_path}: splits.{name} must be a pair of integers "
+    integers with 0 <= lo <= hi <= ``total``."""
+    for name, bounds in splits.items():
+        if not (len(bounds) == 2 and 0 <= bounds[0] <= bounds[1] <= total):
+            raise ValueError(f"{manifest_path}.splits.{name} must be a pair of integers "
                              f"[lo, hi] with 0 <= lo <= hi <= {total}, got {bounds!r}")
-    return {name: splits[name] for name in SPLIT_NAMES}
+    return splits

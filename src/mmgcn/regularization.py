@@ -9,6 +9,7 @@ flip-flop update, with selected modes frozen to the identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +51,13 @@ class RegularizerConfig:
     normalize_covariance: bool = True
 
     def __post_init__(self):
-        if self.alpha_intra <= 0:
-            raise ValueError("alpha_intra must be positive")
-        if self.alpha_low < 0 or self.alpha_high < 0:
-            raise ValueError("regularizer coefficients must be nonnegative")
+        # each check is written so that NaN fails it
+        if not 0 < self.alpha_intra < math.inf:
+            raise ValueError(f"alpha_intra must be positive and finite, got {self.alpha_intra!r}")
+        for name in ("alpha_low", "alpha_high"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, "
+                                 f"got {getattr(self, name)!r}")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.flip_flop_form not in (FLIP_FLOP_LITERAL, FLIP_FLOP_INVERSE_MLE):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -13,6 +14,7 @@ import numpy as np
 
 from . import layers as L
 from .graphs import POWER_BASIS, graph_bases
+from .jsonio import checked, read_json
 from .metrics import rmse, stack_targets
 from .numerics import MODE_NAMES, NumericalFailure
 from .regularization import CovarianceSet, RegularizerConfig, flip_flop_update, normalize_trace
@@ -34,8 +36,15 @@ class TrainConfig:
     reg: RegularizerConfig = field(default_factory=RegularizerConfig)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # each check is written so that NaN fails it
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate!r}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.patience < 1:
@@ -239,8 +248,8 @@ def _net_config_to_dict(config: L.NetworkConfig) -> dict:
 
 
 def net_config_from_dict(payload: dict) -> L.NetworkConfig:
-    """The network a ``checkpoint.json`` ``net_config`` object describes, whose
-    JSON types :func:`load_checkpoint` has checked."""
+    """The network a ``checkpoint.json`` ``net_config`` object describes, as
+    :func:`load_checkpoint` has checked and completed it."""
     specs = tuple(
         L.LayerSpec(s["kind"], s["in_dim"], s["out_dim"], s["activation"])
         for s in payload["layers"]
@@ -249,8 +258,8 @@ def net_config_from_dict(payload: dict) -> L.NetworkConfig:
         payload["modalities"],
         payload["cheb_degree"],
         specs,
-        payload.get("per_vertex_bias", False),
-        payload.get("vertex_count"),
+        payload["per_vertex_bias"],
+        payload["vertex_count"],
     )
 
 
@@ -364,86 +373,42 @@ def _read_tensors(index, blob: bytes, expected: dict) -> dict:
     return by_name
 
 
-class _Fields(dict):
-    """A ``checkpoint.json`` object whose missing field raises ``ValueError``."""
-
-    def __missing__(self, key):
-        raise ValueError(f"checkpoint.json is missing field {key!r}")
-
-
-_JSON_TYPES = {  # a JSON boolean is never a number
-    "an integer": (int,),
-    "an integer or null": (int, type(None)),
-    "a finite number or null": (int, float, type(None)),
-    "a string": (str,),
-    "a boolean": (bool,),
-}
-
-# The JSON type of every ``checkpoint.json`` field that load_checkpoint reads:
-# an object maps its fields, a list holds one element type.
-_CHECKPOINT_TYPES = {
-    "version": "an integer",
+# every ``checkpoint.json`` field, as save_checkpoint writes it
+_CHECKPOINT_SCHEMA = {
+    "version": int,
     "net_config": {
-        "modalities": "an integer",
-        "cheb_degree": "an integer",
-        "per_vertex_bias": "a boolean",
-        "vertex_count": "an integer or null",
-        "layers": [{"kind": "a string", "in_dim": "an integer", "out_dim": "an integer",
-                    "activation": "a string"}],
+        "modalities": int,
+        "cheb_degree": int,
+        "per_vertex_bias": False,
+        "vertex_count": (int, None),
+        "layers": [{"kind": str, "in_dim": int, "out_dim": int, "activation": str}],
     },
-    "frozen_modes": ["a string"],
-    "tensor_index": [{"name": "a string", "shape": ["an integer"], "offset": "an integer"}],
+    "frozen_modes": [str],
+    "tensor_index": [{"name": str, "shape": [int], "offset": int}],
     "scalars": {
-        "step": "an integer",
-        "best_val_rmse": "a finite number or null",
-        "best_epoch": "an integer",
-        "epochs_since_improvement": "an integer",
+        "step": int,
+        "best_val_rmse": (float, type(None)),
+        "best_epoch": int,
+        "epochs_since_improvement": int,
     },
     "rng_state": {
-        "bit_generator": "a string",
-        "state": {"state": "an integer", "inc": "an integer"},
-        "has_uint32": "an integer",
-        "uinteger": "an integer",
+        "bit_generator": str,
+        "state": {"state": int, "inc": int},
+        "has_uint32": int,
+        "uinteger": int,
     },
 }
-
-
-def _check_types(value, types, field: str = "") -> None:
-    """Raise ``ValueError`` naming the first field of ``value`` whose JSON type
-    is not the one ``types`` gives; a missing field raises once it is read."""
-    if isinstance(types, dict):
-        kind, ok = "an object", isinstance(value, dict)
-    elif isinstance(types, list):
-        kind, ok = "a list", type(value) is list
-    else:
-        # NaN and Infinity parse as floats, but save_checkpoint never writes them
-        kind = types
-        ok = type(value) in _JSON_TYPES[types] and (type(value) is not float
-                                                   or np.isfinite(value))
-    if not ok:
-        name = f"checkpoint.json field {field}" if field else "checkpoint.json"
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
-    if isinstance(types, dict):
-        for key, sub in types.items():
-            if key in value:
-                _check_types(value[key], sub, f"{field}.{key}" if field else key)
-    elif isinstance(types, list):
-        for idx, item in enumerate(value):
-            _check_types(item, types[0], f"{field}[{idx}]")
 
 
 def load_checkpoint(out_dir) -> TrainState:
-    """Restore a checkpoint; a manifest that is not valid JSON, a missing or
-    wrongly typed manifest field, a blob or index that does not match the
-    network it describes, or a frozen covariance mode that is not exactly
-    ``I`` raises ``ValueError`` naming the file, field, tensor or mode."""
+    """Restore a checkpoint; a manifest that is not valid JSON, a missing,
+    unknown or wrongly typed manifest field, a blob or index that does not
+    match the network it describes, or a frozen covariance mode that is not
+    exactly ``I`` raises ``ValueError`` naming the file, field, tensor or
+    mode."""
     out = Path(out_dir)
     path = out / "checkpoint.json"
-    try:
-        manifest = json.loads(path.read_text(), object_hook=_Fields)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    _check_types(manifest, _CHECKPOINT_TYPES)
+    manifest = checked(read_json(path), _CHECKPOINT_SCHEMA, str(path))
     if manifest["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {manifest['version']}")
     blob = (out / "checkpoint.bin").read_bytes()

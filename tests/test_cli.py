@@ -143,8 +143,10 @@ class TestEvaluate:
 
     def test_truncated_checkpoint_exits_2(self, workspace, tmp_path, capsys):
         # a blob cut in half, and a checkpoint.json without its scalars
-        for damaged, message in (("checkpoint.bin", "ends inside tensor"),
-                                 ("checkpoint.json", "missing field 'scalars'")):
+        for damaged, message in (
+            ("checkpoint.bin", "ends inside tensor"),
+            ("checkpoint.json", "missing field {run}/checkpoint.json.scalars"),
+        ):
             run = tmp_path / damaged
             shutil.copytree(workspace["run"], run)
             if damaged == "checkpoint.bin":
@@ -156,7 +158,7 @@ class TestEvaluate:
                 write_json(run / damaged, manifest)
             assert dispatch(["evaluate", "--config", str(workspace["config"]),
                              "--out", str(run)]) == 2
-            assert message in capsys.readouterr().err
+            assert message.format(run=run) in capsys.readouterr().err
 
 
 class TestPredict:
@@ -279,9 +281,14 @@ def test_json_artifacts_are_strict(tmp_path):
      "config.network.output_dims[1]"),
     ("train", {"manifest": "m.json", "network": {"output_dims": [4, 2.5, 1]}},
      "config.network.output_dims[1]"),
+    ("train", {"manifest": "m.json", "train": {"learning_rate": float("nan")}},
+     "config.train.learning_rate"),
+    ("synth", {"grid_rows": 2, "grid_cols": 2, "weeks": 3, "drift_rate": float("inf")},
+     "config.drift_rate"),
 ], ids=["network-number", "top-level-list", "reg-number", "batch-size-string", "seed-string",
         "grid-rows-string", "grid-rows-float", "manifest-number", "max-samples-negative",
-        "max-samples-zero", "edge-threshold-negative", "output-dim-string", "output-dim-float"])
+        "max-samples-zero", "edge-threshold-negative", "output-dim-string", "output-dim-float",
+        "learning-rate-nan", "drift-rate-infinity"])
 def test_malformed_config_exits_2_naming_field(tmp_path, capsys, command, payload, field):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(payload))
@@ -299,9 +306,10 @@ def city3x3(tmp_path_factory):
 
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda manifest: [1, 2], "manifest must be a JSON object"),
+    (lambda manifest: [1, 2], "{manifest} must be an object, got [1, 2]"),
     (lambda manifest: {**manifest, "splits": {k: v for k, v in manifest["splits"].items()
-                                              if k != "val"}}, "splits.val must be"),
+                                              if k != "val"}},
+     "missing field {manifest}.splits.val"),
     (lambda manifest: {**manifest, "splits": {**manifest["splits"], "val": "672-1008"}},
      "splits.val must be"),
     (lambda manifest: {**manifest, "splits": {**manifest["splits"], "test": [1008, 99999]}},
@@ -324,7 +332,7 @@ def test_malformed_manifest_exits_2(city3x3, tmp_path, capsys, edit, message):
         "train": {"max_epochs": 1},
     })
     assert dispatch(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
-    assert message in capsys.readouterr().err
+    assert message.format(manifest=edited) in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -354,15 +362,15 @@ def _set(path, value):
 @pytest.mark.parametrize("edit,message", [
     (lambda manifest: [1, 2], "checkpoint.json must be an object, got [1, 2]"),
     (_set(["tensor_index", 0], [1]),
-     "checkpoint.json field tensor_index[0] must be an object, got [1]"),
+     "checkpoint.json.tensor_index[0] must be an object, got [1]"),
     (_set(["net_config", "layers", 0, "in_dim"], "5"),
-     "checkpoint.json field net_config.layers[0].in_dim must be an integer, got '5'"),
+     "checkpoint.json.net_config.layers[0].in_dim must be an integer, got '5'"),
     (_set(["scalars", "step"], "x"),
-     "checkpoint.json field scalars.step must be an integer, got 'x'"),
+     "checkpoint.json.scalars.step must be an integer, got 'x'"),
     (_set(["scalars", "best_epoch"], 1.5),
-     "checkpoint.json field scalars.best_epoch must be an integer, got 1.5"),
+     "checkpoint.json.scalars.best_epoch must be an integer, got 1.5"),
     (_set(["scalars", "best_val_rmse"], float("nan")),
-     "checkpoint.json field scalars.best_val_rmse must be a finite number or null, got nan"),
+     "checkpoint.json.scalars.best_val_rmse must be a finite number or null, got nan"),
 ], ids=["not-an-object", "index-entry-list", "in-dim-string", "step-string",
         "best-epoch-float", "best-val-rmse-nan"])
 def test_malformed_checkpoint_exits_2_naming_field(run3x3, tmp_path, capsys, edit, message):

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmgcn import data as D
 from mmgcn import metrics as M
+from mmgcn.jsonio import checked, read_json
 
 
 def constant_series(vertices=2, intervals=400, value=1.0, interval_minutes=30):
@@ -175,6 +178,38 @@ class TestRoundTrip:
         for got, want in zip(loaded.graphs, ds.graphs):
             assert got.modality_id == want.modality_id
             np.testing.assert_allclose(got.adjacency, want.adjacency, atol=1e-8)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_at_random_shapes(self, data, tmp_path_factory):
+        cfg = D.SynthConfig(
+            data.draw(st.integers(1, 4), label="grid_rows"),
+            data.draw(st.integers(1, 4), label="grid_cols"),
+            weeks=data.draw(st.integers(2, 3), label="weeks"),
+            poi_categories=data.draw(st.integers(1, 4), label="poi_categories"),
+            drift_rate=data.draw(st.floats(0.0, 3.0), label="drift_rate"),
+            noise_scale=data.draw(st.floats(0.0, 2.0), label="noise_scale"),
+            seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+            interval_minutes=data.draw(st.sampled_from([60, 120, 240]), label="interval"),
+        )
+        ds = D.generate_synthetic(cfg)
+        bound = st.integers(0, ds.series.values.shape[1])
+        splits = {name: sorted(data.draw(st.lists(bound, min_size=2, max_size=2), label=name))
+                  for name in D.SPLIT_NAMES}
+        first = tmp_path_factory.mktemp("written")
+        manifest = D.save_dataset(ds, first, splits)
+        document = read_json(manifest)
+        assert checked(document, D._MANIFEST_SCHEMA, "manifest") == document
+        loaded = D.load_dataset(manifest)
+        assert loaded.splits == splits
+        # the CSVs hold each value to 9 significant digits, and read back exactly that
+        for got, written in ((loaded.series.values, ds.series.values), (loaded.poi, ds.poi),
+                             (loaded.road_conn, ds.road_conn)):
+            np.testing.assert_array_equal(got, np.char.mod("%.9g", written).astype(float))
+        second = tmp_path_factory.mktemp("rewritten")
+        D.save_dataset(loaded, second, loaded.splits)
+        for name in ("manifest.json", "demand.csv", "poi.csv", "road.csv"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ValueError, match="manifest"):

@@ -1,14 +1,19 @@
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmgcn import data as D
 from mmgcn import layers as L
 from mmgcn import metrics as M
 from mmgcn import training as T
-from mmgcn.numerics import NumericalFailure
+from mmgcn.jsonio import checked, read_json
+from mmgcn.numerics import MODE_NAMES, NumericalFailure
 from mmgcn.regularization import RegularizerConfig
 
 from conftest import (
@@ -95,6 +100,27 @@ class TestTotalLoss:
         with pytest.raises(ValueError, match="nonempty"):
             L.batch_loss(np.zeros((0, 3, 5)), np.zeros((0, 3)), bases, params,
                          RegularizerConfig(), with_grads=False)
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: T.TrainConfig(learning_rate=math.nan), "learning_rate"),
+    (lambda: T.TrainConfig(learning_rate=math.inf), "learning_rate"),
+    (lambda: T.TrainConfig(adam_beta1=math.nan), "adam_beta1"),
+    (lambda: T.TrainConfig(adam_beta1=-1.0), "adam_beta1"),
+    (lambda: T.TrainConfig(adam_beta2=1.5), "adam_beta2"),
+    (lambda: T.TrainConfig(adam_eps=math.nan), "adam_eps"),
+    (lambda: T.TrainConfig(adam_eps=0.0), "adam_eps"),
+    (lambda: RegularizerConfig(alpha_intra=math.nan), "alpha_intra"),
+    (lambda: RegularizerConfig(alpha_low=math.nan), "alpha_low"),
+    (lambda: RegularizerConfig(alpha_high=math.inf), "alpha_high"),
+    (lambda: D.SynthConfig(2, 2, 2, drift_rate=math.nan), "drift_rate"),
+    (lambda: D.SynthConfig(2, 2, 2, noise_scale=math.inf), "noise_scale"),
+], ids=["lr-nan", "lr-inf", "beta1-nan", "beta1-negative", "beta2-above-1", "eps-nan",
+        "eps-zero", "alpha-intra-nan", "alpha-low-nan", "alpha-high-inf", "drift-nan",
+        "noise-inf"])
+def test_config_rejects_non_finite_or_out_of_range_value(build, field):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        build()
 
 
 class TestAdamStep:
@@ -471,6 +497,59 @@ class TestCheckpoint:
         assert restored.step == first.step
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin", "checkpoint.json"]
 
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_at_random_shapes(self, data, tmp_path_factory):
+        widths = data.draw(st.lists(st.integers(1, 4), max_size=2), label="widths") + [1]
+        kinds = data.draw(st.lists(st.sampled_from([L.GGCN, L.MRGCN]), min_size=len(widths),
+                                   max_size=len(widths)), label="kinds")
+        per_vertex_bias = data.draw(st.booleans(), label="per_vertex_bias")
+        vertices = data.draw(st.integers(1, 5), label="vertices")
+        config = L.NetworkConfig(
+            data.draw(st.integers(1, 3), label="modalities"),
+            data.draw(st.integers(0, 3), label="K"),
+            L.make_layer_specs(kinds, 5, widths),
+            per_vertex_bias,
+            vertices if per_vertex_bias else data.draw(st.sampled_from([None, vertices])),
+        )
+        frozen = data.draw(st.lists(st.sampled_from(MODE_NAMES), unique=True), label="frozen")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        state = T.init_train_state(L.init_network_params(config, seed, frozen), seed)
+        rng = np.random.default_rng(seed)
+        for _, arr in L.named_param_arrays(state.params):
+            arr[...] = rng.normal(size=arr.shape)
+        for arr in [*state.first_moment, *state.second_moment]:
+            arr[...] = rng.normal(size=arr.shape)
+        for layer in state.params.layers:
+            if isinstance(layer, L.MrgcnLayerParams):
+                for mode, sigma in enumerate(layer.covariances.sigma):
+                    if not layer.covariances.frozen[mode]:
+                        a = rng.normal(size=sigma.shape)
+                        layer.covariances.replace(mode, a @ a.T)
+        state.step = data.draw(st.integers(0, 10**9), label="step")
+        state.best_val_rmse = data.draw(st.one_of(st.just(np.inf), st.floats(0.0, 1e6)),
+                                        label="best_val_rmse")
+        state.best_epoch = data.draw(st.integers(-1, 1000), label="best_epoch")
+        state.epochs_since_improvement = data.draw(st.integers(0, 100), label="since")
+        state.rng.integers(2**32, size=data.draw(st.integers(0, 3)), dtype=np.uint32)
+
+        first = tmp_path_factory.mktemp("written")
+        T.save_checkpoint(first, state, frozen)
+        document = read_json(first / "checkpoint.json")
+        assert checked(document, T._CHECKPOINT_SCHEMA, "checkpoint.json") == document
+        restored = T.load_checkpoint(first)
+        np.testing.assert_array_equal(pack_params(restored.params), pack_params(state.params))
+        assert restored.params.config == config
+        assert restored.rng.bit_generator.state == state.rng.bit_generator.state
+        assert (restored.step, restored.best_val_rmse, restored.best_epoch,
+                restored.epochs_since_improvement) == (
+            state.step, state.best_val_rmse, state.best_epoch, state.epochs_since_improvement)
+        # every tensor, moments and covariances included, lands in the blob bit for bit
+        second = tmp_path_factory.mktemp("rewritten")
+        T.save_checkpoint(second, restored, frozen)
+        for name in ("checkpoint.json", "checkpoint.bin"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
     @pytest.fixture
     def saved(self, tmp_path):
         ds, splits = tiny_dataset()
@@ -489,11 +568,14 @@ class TestCheckpoint:
     def test_missing_manifest_field_named(self, saved, field):
         path = saved / "checkpoint.json"
         manifest = json.loads(path.read_text())
-        holder = {"scalars": manifest, "kind": manifest["net_config"]["layers"][1],
-                  "offset": manifest["tensor_index"][2]}[field]
+        dotted, holder = {
+            "scalars": ("scalars", manifest),
+            "kind": ("net_config.layers[1].kind", manifest["net_config"]["layers"][1]),
+            "offset": ("tensor_index[2].offset", manifest["tensor_index"][2]),
+        }[field]
         del holder[field]
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=f"checkpoint.json is missing field '{field}'"):
+        with pytest.raises(ValueError, match=re.escape(f"missing field {path}.{dotted}")):
             T.load_checkpoint(saved)
 
     def test_truncated_blob_names_tensor(self, saved):
