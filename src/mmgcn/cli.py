@@ -114,6 +114,7 @@ def _resolve_run_config(path) -> dict:
     config["network"]["layer_kinds"] = [
         variant["lower"] if i < lower else variant["higher"] for i in range(len(dims))
     ]
+    _train_config(config)  # range checks, before any command touches a file
     return config
 
 
@@ -129,10 +130,19 @@ def _build_net_config(config: dict, vertex_count: int) -> L.NetworkConfig:
     )
 
 
+def _build(cls, name: str, **values):
+    """``cls(**values)``; a range error, whose message begins with the
+    field's name, is reported under the section ``name``."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{name}.{exc}") from exc
+
+
 def _train_config(config: dict) -> T.TrainConfig:
     section = dict(config["train"])
-    reg = RegularizerConfig(**section.pop("reg"))
-    return T.TrainConfig(reg=reg, **section)
+    reg = _build(RegularizerConfig, "config.train.reg", **section.pop("reg"))
+    return _build(T.TrainConfig, "config.train", reg=reg, **section)
 
 
 def _split_samples(dataset) -> dict:
@@ -159,8 +169,8 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _cmd_synth(config_path, out_dir) -> int:
     config = checked(read_json(config_path), _SYNTH_DEFAULTS, "config")
-    synth_cfg = D.SynthConfig(**{k: v for k, v in config.items()
-                                 if k not in ("val_weeks", "test_weeks")})
+    synth_cfg = _build(D.SynthConfig, "config", **{
+        k: v for k, v in config.items() if k not in ("val_weeks", "test_weeks")})
     dataset = D.generate_synthetic(synth_cfg)
     splits = D.default_splits(synth_cfg, config["val_weeks"], config["test_weeks"])
     manifest_path = D.save_dataset(dataset, out_dir, splits)
@@ -171,14 +181,14 @@ def _cmd_synth(config_path, out_dir) -> int:
 
 def _cmd_train(config_path, out_dir) -> int:
     config = _resolve_run_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     dataset = D.load_dataset(config["manifest"])
     splits = _split_samples(dataset)
     net_config = _build_net_config(config, dataset.series.vertex_count)
     train_cfg = _train_config(config)
     result = T.train(splits, dataset.graphs, net_config, train_cfg,
                      config["network"]["basis"])
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "run.json", config)
     _write_csv(out / "history.csv", ("epoch", "train_rmse", "val_rmse"),
                [(row.epoch, row.train_rmse, row.val_rmse) for row in result.history])
@@ -194,6 +204,15 @@ def _load_run(config_path, out_dir):
     config = _resolve_run_config(config_path)
     dataset = D.load_dataset(config["manifest"])
     state = T.load_checkpoint(out_dir)
+    net = state.params.config
+    # a library-trained checkpoint records no vertex count
+    for field, recorded, actual, unit in (
+        ("modalities", net.modalities, len(dataset.graphs), "graphs"),
+        ("vertex_count", net.vertex_count, dataset.series.vertex_count, "vertices"),
+    ):
+        if recorded is not None and recorded != actual:
+            raise ValueError(f"{Path(out_dir) / 'checkpoint.json'}.net_config.{field} is "
+                             f"{recorded}, but the dataset has {actual} {unit}")
     bases = graph_bases(
         dataset.graphs, state.params.config.cheb_degree, config["network"]["basis"]
     )

@@ -134,12 +134,14 @@ class SynthConfig:
     interval_minutes: int = 30
 
     def __post_init__(self):
-        if self.grid_rows < 1 or self.grid_cols < 1:
-            raise ValueError("grid dimensions must be positive")
+        # each message begins with its field's name
+        for name in ("grid_rows", "grid_cols", "poi_categories"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.weeks < 2:
-            raise ValueError("at least 2 weeks are needed to window with trend")
-        if self.poi_categories < 1:
-            raise ValueError("poi_categories must be positive")
+            raise ValueError(f"weeks must be >= 2 to window with trend, got {self.weeks!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         for name in ("drift_rate", "noise_scale"):
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails it too
                 raise ValueError(f"{name} must be nonnegative and finite, "

@@ -51,7 +51,8 @@ class RegularizerConfig:
     normalize_covariance: bool = True
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
+        # each check is written so that NaN fails it, and each message
+        # begins with its field's name
         if not 0 < self.alpha_intra < math.inf:
             raise ValueError(f"alpha_intra must be positive and finite, got {self.alpha_intra!r}")
         for name in ("alpha_low", "alpha_high"):
@@ -59,9 +60,10 @@ class RegularizerConfig:
                 raise ValueError(f"{name} must be nonnegative and finite, "
                                  f"got {getattr(self, name)!r}")
         if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
         if self.flip_flop_form not in (FLIP_FLOP_LITERAL, FLIP_FLOP_INVERSE_MLE):
-            raise ValueError(f"unknown flip_flop_form {self.flip_flop_form!r}")
+            raise ValueError(f"flip_flop_form must be {FLIP_FLOP_LITERAL!r} or "
+                             f"{FLIP_FLOP_INVERSE_MLE!r}, got {self.flip_flop_form!r}")
         self.frozen_modes = tuple(self.frozen_modes)
         _mode_indices(self.frozen_modes)
 

@@ -7,7 +7,7 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,8 @@ class TrainConfig:
     reg: RegularizerConfig = field(default_factory=RegularizerConfig)
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
+        # each check is written so that NaN fails it, and each message
+        # begins with its field's name
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, "
                              f"got {self.learning_rate!r}")
@@ -53,6 +54,8 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 0")
         if self.cov_update_every < 1:
             raise ValueError("cov_update_every must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -90,43 +93,27 @@ def init_train_state(params: L.NetworkParams, seed: int) -> TrainState:
     )
 
 
-def _storage_order(param, grad, m, v):
-    """Views of the four Adam operands with their axes in ``param``'s storage
-    order, largest stride first.  A parameter and moments stored without
-    gaps, as the library allocates them, are then C-contiguous, so every
-    update is one contiguous loop; an operand of another layout is read
-    through its strides, element for element."""
-    if param.flags.c_contiguous:
-        return param, grad, m, v
-    axes = sorted(range(param.ndim), key=lambda axis: -param.strides[axis])
-    return [arr.transpose(axes) for arr in (param, grad, m, v)]
-
-
 def adam_step(state: TrainState, grads, cfg: TrainConfig) -> TrainState:
     """Standard bias-corrected Adam, in place; rejects non-finite gradients.
 
     Every parameter is updated through two scratch arrays, with the same
     IEEE operations in the same order as ``m_hat = m / (1 - beta1**t)``,
     ``v_hat = v / (1 - beta2**t)``,
-    ``param -= lr * m_hat / (sqrt(v_hat) + eps)``.  Each array is read in
-    its parameter's storage order (:func:`_storage_order`), so the update is
-    a contiguous loop whatever that order is, and a gradient in any layout
-    gives the same bits."""
+    ``param -= lr * m_hat / (sqrt(v_hat) + eps)``.  The scratch arrays are
+    ``np.empty_like(param)``, so numpy's elementwise loops follow the
+    parameter's memory layout, and a gradient in any layout gives the same
+    bits."""
     named = L.named_param_arrays(state.params)
     flat_grads = []
     for layer_grads in grads:
         flat_grads.extend([layer_grads.weights, layer_grads.biases])
     state.step += 1
     t = state.step
-    size = max(param.size for _, param in named)
-    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for (name, param), grad, m, v in zip(named, flat_grads, state.first_moment,
                                          state.second_moment):
-        param, grad, m, v = _storage_order(param, grad, m, v)
         if not np.isfinite(grad).all():
             raise NumericalFailure(f"non-finite gradient in {name}")
-        a = scratch_a[: param.size].reshape(param.shape)
-        b = scratch_b[: param.size].reshape(param.shape)
+        a, b = np.empty_like(param), np.empty_like(param)
         m *= cfg.adam_beta1
         m += np.multiply(1.0 - cfg.adam_beta1, grad, out=a)
         v *= cfg.adam_beta2
@@ -229,41 +216,9 @@ def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 # checkpointing
 
-def _net_config_to_dict(config: L.NetworkConfig) -> dict:
-    return {
-        "modalities": config.modalities,
-        "cheb_degree": config.cheb_degree,
-        "per_vertex_bias": config.per_vertex_bias,
-        "vertex_count": config.vertex_count,
-        "layers": [
-            {
-                "kind": s.kind,
-                "in_dim": s.in_dim,
-                "out_dim": s.out_dim,
-                "activation": s.activation,
-            }
-            for s in config.layer_specs
-        ],
-    }
-
-
-def net_config_from_dict(payload: dict) -> L.NetworkConfig:
-    """The network a ``checkpoint.json`` ``net_config`` object describes, as
-    :func:`load_checkpoint` has checked and completed it."""
-    specs = tuple(
-        L.LayerSpec(s["kind"], s["in_dim"], s["out_dim"], s["activation"])
-        for s in payload["layers"]
-    )
-    return L.NetworkConfig(
-        payload["modalities"],
-        payload["cheb_degree"],
-        specs,
-        payload["per_vertex_bias"],
-        payload["vertex_count"],
-    )
-
-
 def _checkpoint_tensors(state: TrainState):
+    """Every tensor of a checkpoint as ``(name, array)``, in blob order: the
+    one description of the layout that save and load share."""
     tensors = []
     for (name, arr), m, v in zip(
         L.named_param_arrays(state.params), state.first_moment, state.second_moment
@@ -278,6 +233,16 @@ def _checkpoint_tensors(state: TrainState):
     return tensors
 
 
+def _tensor_index(tensors):
+    """The ``tensor_index`` of ``(name, array)`` pairs laid out back to back
+    as ``<f8``, and the size of that blob in bytes."""
+    index, offset = [], 0
+    for name, arr in tensors:
+        index.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += 8 * arr.size
+    return index, offset
+
+
 def save_checkpoint(out_dir, state: TrainState, frozen_modes) -> None:
     """Strict JSON manifest plus one little-endian float64 blob, canonical
     layout; a best validation RMSE that no epoch set is written as null.
@@ -285,19 +250,13 @@ def save_checkpoint(out_dir, state: TrainState, frozen_modes) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tensors = _checkpoint_tensors(state)
-    index = []
-    offset = 0
-    blob = bytearray()
-    for name, arr in tensors:
-        data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        index.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blob.extend(data)
-        offset += len(data)
+    net_config = asdict(state.params.config)
+    net_config["layers"] = net_config.pop("layer_specs")
     manifest = {
         "version": CHECKPOINT_VERSION,
-        "net_config": _net_config_to_dict(state.params.config),
+        "net_config": net_config,
         "frozen_modes": list(frozen_modes),
-        "tensor_index": index,
+        "tensor_index": _tensor_index(tensors)[0],
         "scalars": {
             "step": state.step,
             "best_val_rmse": None if state.best_val_rmse == np.inf else
@@ -308,7 +267,8 @@ def save_checkpoint(out_dir, state: TrainState, frozen_modes) -> None:
         "rng_state": state.rng.bit_generator.state,
     }
     _replace_files([
-        (out / "checkpoint.bin", bytes(blob)),
+        (out / "checkpoint.bin",
+         b"".join(np.asarray(arr, dtype="<f8").tobytes() for _, arr in tensors)),
         (out / "checkpoint.json",
          (json.dumps(manifest, indent=2, allow_nan=False) + "\n").encode()),
     ])
@@ -331,46 +291,35 @@ def _replace_files(files) -> None:
             temp.unlink(missing_ok=True)
 
 
-def _read_tensors(index, blob: bytes, expected: dict) -> dict:
-    """Tensors of ``blob`` by name, after checking the index against the
-    expected ``{name: shape}`` and the canonical back-to-back layout."""
-    seen = set()
-    for entry in index:
-        name = entry["name"]
-        if name not in expected:
+def _check_layout(index, tensors, blob_size: int) -> None:
+    """Require a checkpoint's ``tensor_index`` to be, entry for entry, the
+    one :func:`save_checkpoint` writes for ``tensors``, and its blob to be
+    that layout's size; else raise ``ValueError`` naming the first tensor at
+    fault, or both byte counts."""
+    expected, size = _tensor_index(tensors)
+    listed = [entry["name"] for entry in index]
+    wanted = [entry["name"] for entry in expected]
+    for i, name in enumerate(listed):
+        if name not in wanted:
             raise ValueError(f"checkpoint has unexpected tensor {name!r}")
-        if name in seen:
+        if name in listed[:i]:
             raise ValueError(f"checkpoint lists tensor {name!r} twice")
-        seen.add(name)
-    missing = [name for name in expected if name not in seen]
-    if missing:
-        raise ValueError(f"checkpoint is missing tensor {missing[0]!r}")
-    by_name = {}
-    position = 0
-    for entry in index:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if shape != expected[name]:
-            raise ValueError(
-                f"checkpoint tensor {name!r} has shape {shape}, expected {expected[name]}"
-            )
-        if entry["offset"] != position:
-            raise ValueError(
-                f"checkpoint tensor {name!r} starts at byte {entry['offset']}, "
-                f"expected {position}"
-            )
-        count = int(np.prod(shape))
-        if position + 8 * count > len(blob):
-            raise ValueError(
-                f"checkpoint blob of {len(blob)} bytes ends inside tensor {name!r}"
-            )
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=position)
-        by_name[name] = arr.reshape(shape).astype(float)
-        position += 8 * count
-    if position != len(blob):
-        raise ValueError(
-            f"checkpoint blob holds {len(blob)} bytes, its tensors {position}"
-        )
-    return by_name
+    for name in wanted:
+        if name not in listed:
+            raise ValueError(f"checkpoint is missing tensor {name!r}")
+    for (name, arr), entry, want in zip(tensors, index, expected):
+        if entry["name"] != name:
+            raise ValueError(f"checkpoint lists tensor {entry['name']!r} where {name!r} belongs")
+        if entry["shape"] != want["shape"]:
+            raise ValueError(f"checkpoint tensor {name!r} has shape {tuple(entry['shape'])}, "
+                             f"expected {arr.shape}")
+        if entry["offset"] != want["offset"]:
+            raise ValueError(f"checkpoint tensor {name!r} starts at byte {entry['offset']}, "
+                             f"expected {want['offset']}")
+        if want["offset"] + 8 * arr.size > blob_size:
+            raise ValueError(f"checkpoint blob of {blob_size} bytes ends inside tensor {name!r}")
+    if blob_size != size:
+        raise ValueError(f"checkpoint blob holds {blob_size} bytes, its tensors {size}")
 
 
 # every ``checkpoint.json`` field, as save_checkpoint writes it
@@ -411,15 +360,18 @@ def load_checkpoint(out_dir) -> TrainState:
     manifest = checked(read_json(path), _CHECKPOINT_SCHEMA, str(path))
     if manifest["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {manifest['version']}")
-    blob = (out / "checkpoint.bin").read_bytes()
-    config = net_config_from_dict(manifest["net_config"])
-    params = L.init_network_params(config, seed=0, frozen_modes=manifest["frozen_modes"])
+    net_config = dict(manifest["net_config"])
+    net_config["layer_specs"] = tuple(L.LayerSpec(**spec) for spec in net_config.pop("layers"))
+    params = L.init_network_params(L.NetworkConfig(**net_config), seed=0,
+                                   frozen_modes=manifest["frozen_modes"])
     state = init_train_state(params, seed=0)
     tensors = _checkpoint_tensors(state)
-    by_name = _read_tensors(manifest["tensor_index"], blob,
-                            {name: arr.shape for name, arr in tensors})
-    for name, arr in tensors:
-        arr[...] = by_name[name]
+    blob = (out / "checkpoint.bin").read_bytes()
+    _check_layout(manifest["tensor_index"], tensors, len(blob))
+    values = np.frombuffer(blob, dtype="<f8")
+    for (_, arr), entry in zip(tensors, manifest["tensor_index"]):
+        start = entry["offset"] // 8
+        arr[...] = values[start : start + arr.size].reshape(arr.shape)
     for idx, layer in enumerate(state.params.layers):
         if isinstance(layer, L.MrgcnLayerParams):
             try:  # a frozen mode must still hold exactly the identity

@@ -1,6 +1,6 @@
 import json
 import shutil
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +8,9 @@ import pytest
 
 from mmgcn.cli import dispatch
 from mmgcn.data import SynthConfig
+from mmgcn.layers import init_network_params
 from mmgcn.regularization import RegularizerConfig
-from mmgcn.training import TrainConfig
+from mmgcn.training import TrainConfig, init_train_state, load_checkpoint, save_checkpoint
 
 
 def write_json(path: Path, payload: dict) -> Path:
@@ -296,6 +297,24 @@ def test_malformed_config_exits_2_naming_field(tmp_path, capsys, command, payloa
     assert f"{field} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,payload,field", [
+    *((command, {"manifest": "nope.json", "train": train}, field)
+      for command in ("train", "evaluate", "predict", "analyze")
+      for train, field in (({"adam_beta1": 1.5}, "config.train.adam_beta1"),
+                           ({"reg": {"epsilon": 2.0}}, "config.train.reg.epsilon"),
+                           ({"seed": -1}, "config.train.seed"))),
+    ("synth", {"grid_rows": 2, "grid_cols": 2, "weeks": 3, "seed": -3}, "config.seed"),
+])
+def test_config_range_checked_before_any_file(tmp_path, capsys, command, payload, field):
+    # the manifest does not exist either: the range check comes first
+    cfg = write_json(tmp_path / "config.json", payload)
+    out = tmp_path / "out"
+    extra = ["--index", "400"] if command == "predict" else []
+    assert dispatch([command, "--config", str(cfg), "--out", str(out), *extra]) == 2
+    assert f"{field} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def city3x3(tmp_path_factory):
     """A 3x3, 4-week synthetic dataset (1344 intervals); returns its directory."""
@@ -381,6 +400,28 @@ def test_malformed_checkpoint_exits_2_naming_field(run3x3, tmp_path, capsys, edi
     write_json(copied / "checkpoint.json", edit(manifest))
     assert dispatch(["evaluate", "--config", str(config), "--out", str(copied)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change,field", [
+    ({"modalities": 4}, "modalities"),
+    ({"modalities": 2}, "modalities"),
+    ({"vertex_count": 16}, "vertex_count"),
+    ({"vertex_count": None}, None),
+], ids=["more-modalities", "fewer-modalities", "other-city", "no-vertex-count"])
+def test_checkpoint_must_fit_dataset(run3x3, tmp_path, capsys, change, field):
+    # a consistent checkpoint for another network, written by the library
+    config, run = run3x3
+    net = replace(load_checkpoint(run).params.config, **change)
+    copied = tmp_path / "run"
+    save_checkpoint(copied, init_train_state(init_network_params(net, seed=0), seed=0),
+                    ("I", "O"))
+    for command in (["evaluate"], ["predict", "--index", "700"]):
+        code = dispatch(command + ["--config", str(config), "--out", str(copied)])
+        if field is None:  # an unrecorded vertex count is not checked
+            assert code == 0
+        else:
+            assert code == 2
+            assert f"{copied}/checkpoint.json.net_config.{field} is" in capsys.readouterr().err
 
 
 def test_invalid_json_names_the_file(run3x3, tmp_path, capsys):

@@ -115,9 +115,11 @@ class TestTotalLoss:
     (lambda: RegularizerConfig(alpha_high=math.inf), "alpha_high"),
     (lambda: D.SynthConfig(2, 2, 2, drift_rate=math.nan), "drift_rate"),
     (lambda: D.SynthConfig(2, 2, 2, noise_scale=math.inf), "noise_scale"),
+    (lambda: T.TrainConfig(seed=-1), "seed"),
+    (lambda: D.SynthConfig(2, 2, 2, seed=-3), "seed"),
 ], ids=["lr-nan", "lr-inf", "beta1-nan", "beta1-negative", "beta2-above-1", "eps-nan",
         "eps-zero", "alpha-intra-nan", "alpha-low-nan", "alpha-high-inf", "drift-nan",
-        "noise-inf"])
+        "noise-inf", "train-seed-negative", "synth-seed-negative"])
 def test_config_rejects_non_finite_or_out_of_range_value(build, field):
     with pytest.raises(ValueError, match=f"^{field} must"):
         build()
@@ -597,6 +599,42 @@ class TestCheckpoint:
 
         self._edit_index(saved, add)
         with pytest.raises(ValueError, match=r"unexpected tensor 'layer9\.weights'"):
+            T.load_checkpoint(saved)
+
+    @staticmethod
+    def _swap_first_two(index):
+        # layer0.weights and adam_m.layer0.weights share a shape, so swapping
+        # their offsets keeps the layout back to back
+        assert index[0]["shape"] == index[1]["shape"]
+        index[0], index[1] = index[1], index[0]
+        index[0]["offset"], index[1]["offset"] = index[1]["offset"], index[0]["offset"]
+
+    # fault: (edit of the tensor index, or None for a blob with 8 bytes
+    # appended, and the message given the listed names and the blob size)
+    INDEX_FAULTS = {
+        "wrong-shape": (lambda index: index[3].update(shape=[7]),
+                        lambda names, size: f"tensor '{names[3]}' has shape (7,), expected"),
+        "offset-gap": (lambda index: [e.update(offset=e["offset"] + 8) for e in index[4:]],
+                       lambda names, size: f"tensor '{names[4]}' starts at byte"),
+        "duplicate": (lambda index: index.append(dict(index[0])),
+                      lambda names, size: f"lists tensor '{names[0]}' twice"),
+        "swapped": (_swap_first_two,
+                    lambda names, size: f"tensor '{names[1]}' where '{names[0]}' belongs"),
+        "trailing-bytes": (None,
+                           lambda names, size: f"blob holds {size + 8} bytes, its tensors {size}"),
+    }
+
+    @pytest.mark.parametrize("fault", list(INDEX_FAULTS))
+    def test_index_fault_named(self, saved, fault):
+        edit, message = self.INDEX_FAULTS[fault]
+        names = [e["name"] for e in json.loads((saved / "checkpoint.json").read_text())
+                 ["tensor_index"]]
+        blob = (saved / "checkpoint.bin").read_bytes()
+        if edit is None:
+            (saved / "checkpoint.bin").write_bytes(blob + bytes(8))
+        else:
+            self._edit_index(saved, edit)
+        with pytest.raises(ValueError, match=re.escape(message(names, len(blob)))):
             T.load_checkpoint(saved)
 
     def test_tampered_frozen_mode_named(self, saved):
