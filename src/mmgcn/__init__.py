@@ -1,56 +1,10 @@
 """Multi-modal multi-graph convolution networks for region-level forecasting.
 
-Subpackages follow the pipeline: ``graphs`` builds the modality graphs and
-Laplacian bases, ``data`` loads or synthesizes demand series and windows them,
-``layers`` holds the network forward/backward passes, ``regularization`` the
-group-lasso and tensor-normal penalties with flip-flop covariance updates,
-``training`` the Adam loop, ``metrics`` the evaluation/analysis tools, and
-``cli`` the command-line entry point.
+The package exports nothing; import from its modules.  ``graphs`` builds the
+modality graphs and Laplacian bases, ``data`` loads, synthesizes and windows
+demand series, ``layers`` holds the forward/backward passes, ``regularization``
+the group-lasso and tensor-normal penalties with flip-flop covariance updates,
+``numerics`` the tensor-mode algebra, ``training`` the Adam loop and
+checkpoints, ``metrics`` the evaluation/analysis tools, ``jsonio`` the JSON
+reader and schema check, and ``cli`` the command-line entry point.
 """
-
-from .data import DemandSeries, SynthConfig, generate_synthetic, load_dataset, make_windows
-from .graphs import (
-    LaplacianBasis,
-    RelationGraph,
-    build_neighborhood,
-    build_poi_similarity,
-    build_road_connectivity,
-    graph_bases,
-    laplacian_basis,
-    normalized_laplacian,
-)
-from .layers import NetworkConfig, NetworkParams, make_layer_specs, network_forward
-from .metrics import kl_temporal_drift, modality_relationship, rmse
-from .regularization import CovarianceSet, RegularizerConfig
-from .training import TrainConfig, load_checkpoint, save_checkpoint, train
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "DemandSeries",
-    "SynthConfig",
-    "generate_synthetic",
-    "load_dataset",
-    "make_windows",
-    "LaplacianBasis",
-    "RelationGraph",
-    "build_neighborhood",
-    "build_poi_similarity",
-    "build_road_connectivity",
-    "graph_bases",
-    "laplacian_basis",
-    "normalized_laplacian",
-    "NetworkConfig",
-    "NetworkParams",
-    "make_layer_specs",
-    "network_forward",
-    "kl_temporal_drift",
-    "modality_relationship",
-    "rmse",
-    "CovarianceSet",
-    "RegularizerConfig",
-    "TrainConfig",
-    "load_checkpoint",
-    "save_checkpoint",
-    "train",
-]

@@ -52,8 +52,9 @@ def _field_defaults(cls, skip=()) -> dict:
             for f in fields(cls) if f.name not in skip}
 
 
-# ``train.reg`` is RegularizerConfig's own section; its ``frozen_modes`` comes
-# from the variant
+# ``train.reg`` is RegularizerConfig's own section.  ``network.layer_kinds``
+# and ``train.reg.frozen_modes`` are derived from the variant, which overwrites
+# any given value, so a previously written run.json can be fed back in
 _RUN_DEFAULTS = {
     "manifest": str,
     "variant": "GGCN_plus_MRGCN_2S",
@@ -62,10 +63,11 @@ _RUN_DEFAULTS = {
         "cheb_degree": 4,
         "basis": POWER_BASIS,
         "per_vertex_bias": False,
+        "layer_kinds": (list, []),
     },
     "train": {
         **_field_defaults(T.TrainConfig, skip=("reg",)),
-        "reg": _field_defaults(RegularizerConfig, skip=("frozen_modes",)),
+        "reg": {**_field_defaults(RegularizerConfig), "frozen_modes": (list, [])},
     },
     "analysis": {"edge_threshold": 0.0, "include_diagonal": True, "max_samples": 256},
 }
@@ -74,23 +76,22 @@ _SYNTH_DEFAULTS = {**_field_defaults(D.SynthConfig), "val_weeks": 1, "test_weeks
 
 
 def _resolve_run_config(path) -> dict:
-    raw = read_json(path)
-    # derived fields are recomputed from the variant, so a previously written
-    # run.json can be fed back in as a config
-    for *sections, derived in (("network", "layer_kinds"), ("train", "reg", "frozen_modes")):
-        holder = raw
-        for key in sections:
-            holder = holder.get(key) if isinstance(holder, dict) else None
-        if isinstance(holder, dict):
-            holder.pop(derived, None)
-    config = checked(raw, _RUN_DEFAULTS, "config")
+    config = checked(read_json(path), _RUN_DEFAULTS, "config")
     if config["variant"] not in VARIANTS:
         raise ValueError(
             f"unknown config field value variant={config['variant']!r}; "
             f"expected one of {sorted(VARIANTS)}"
         )
-    if config["network"]["basis"] not in (POWER_BASIS, CHEBYSHEV_BASIS):
-        raise ValueError(f"unknown basis {config['network']['basis']!r}")
+    network = config["network"]
+    if network["basis"] not in (POWER_BASIS, CHEBYSHEV_BASIS):
+        raise ValueError(f"unknown basis {network['basis']!r}")
+    if network["cheb_degree"] < 0:
+        raise ValueError("config.network.cheb_degree must be >= 0, "
+                         f"got {network['cheb_degree']!r}")
+    dims = network["output_dims"]
+    if not dims or min(dims) < 1 or dims[-1] != 1:
+        raise ValueError("config.network.output_dims must be positive widths ending in 1, "
+                         f"got {dims!r}")
     analysis = config["analysis"]
     if analysis["max_samples"] < 1:
         raise ValueError("config.analysis.max_samples must be >= 1, "
@@ -109,9 +110,8 @@ def _resolve_run_config(path) -> dict:
         reg["alpha_low"] = 0.0
     if not variant["use_tensor_normal"]:
         reg["alpha_high"] = 0.0
-    dims = config["network"]["output_dims"]
     lower = len(dims) // 2
-    config["network"]["layer_kinds"] = [
+    network["layer_kinds"] = [
         variant["lower"] if i < lower else variant["higher"] for i in range(len(dims))
     ]
     _train_config(config)  # range checks, before any command touches a file
@@ -320,16 +320,17 @@ def _cmd_analyze(config_path, out_dir) -> int:
     ):
         if spec.kind != L.MRGCN:
             continue
-        rel = M.modality_relationship(layer.covariances, idx, names)
+        raw = layer.covariances.sigma[3]
+        matrix = M.modality_relationship(raw)
         _write_csv(out / f"relationship_layer{idx}.csv",
                    ("row", "col", "correlation", "raw_covariance"),
-                   [(rel.labels[a], rel.labels[b], rel.matrix[a, b], rel.raw[a, b])
-                    for a, b in np.ndindex(rel.matrix.shape)])
+                   [(names[a], names[b], matrix[a, b], raw[a, b])
+                    for a, b in np.ndindex(matrix.shape)])
         _write_json(out / f"relationship_layer{idx}.json", {
-            "layer": rel.layer_id,
-            "labels": list(rel.labels),
-            "correlation": rel.matrix.tolist(),
-            "raw_covariance": rel.raw.tolist(),
+            "layer": idx,
+            "labels": list(names),
+            "correlation": matrix.tolist(),
+            "raw_covariance": raw.tolist(),
         })
     print(f"wrote analysis artifacts to {out}")
     return 0

@@ -34,6 +34,15 @@ WINDOW_OFFSETS = ("t-1", "t-2", "t-3", "t-P", "t-W")
 SPLIT_NAMES = ("train", "val", "test")
 
 
+def intervals_per_day(interval_minutes: int) -> int:
+    """The one rule for an interval length: a positive number of minutes that
+    divides a day.  Returns the intervals per day."""
+    if interval_minutes < 1 or MINUTES_PER_DAY % interval_minutes:
+        raise ValueError(f"interval_minutes must be positive and divide a day of "
+                         f"{MINUTES_PER_DAY} minutes, got {interval_minutes!r}")
+    return MINUTES_PER_DAY // interval_minutes
+
+
 @dataclass
 class DemandSeries:
     """Nonnegative |V| x T observation matrix with interval metadata."""
@@ -45,12 +54,12 @@ class DemandSeries:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ValueError(f"demand must be |V| x T, got shape {self.values.shape}")
-        if self.interval_minutes < 1 or MINUTES_PER_DAY % self.interval_minutes != 0:
-            raise ValueError(f"interval {self.interval_minutes} min must divide a day")
-        if not np.isfinite(self.values).all():
-            raise ValueError("demand contains non-finite values")
-        if (self.values < 0).any():
-            raise ValueError("demand values must be nonnegative")
+        intervals_per_day(self.interval_minutes)
+        valid = (self.values >= 0.0) & (self.values < np.inf)  # NaN fails both
+        if not valid.all():
+            row, col = np.argwhere(~valid)[0]
+            raise ValueError(f"demand values must be finite and nonnegative, "
+                             f"row {row} holds {float(self.values[row, col])!r}")
         if self.values.shape[1] < self.week_intervals:
             raise ValueError(
                 f"series of {self.values.shape[1]} intervals is shorter than one week "
@@ -63,7 +72,7 @@ class DemandSeries:
 
     @property
     def day_intervals(self) -> int:
-        return MINUTES_PER_DAY // self.interval_minutes
+        return intervals_per_day(self.interval_minutes)
 
     @property
     def week_intervals(self) -> int:
@@ -146,6 +155,7 @@ class SynthConfig:
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails it too
                 raise ValueError(f"{name} must be nonnegative and finite, "
                                  f"got {getattr(self, name)!r}")
+        intervals_per_day(self.interval_minutes)
 
 
 @dataclass
@@ -168,7 +178,7 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     and a linear drift that makes train and test weeks diverge."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.grid_rows * cfg.grid_cols
-    day = MINUTES_PER_DAY // cfg.interval_minutes
+    day = intervals_per_day(cfg.interval_minutes)
     week = 7 * day
     total = cfg.weeks * week
 
@@ -274,7 +284,7 @@ def save_dataset(dataset: Dataset, out_dir, splits: dict) -> Path:
 def default_splits(cfg: SynthConfig, val_weeks: int = 1, test_weeks: int = 1) -> dict:
     """Week-aligned target-index ranges: test takes the last ``test_weeks``
     weeks, validation the ``val_weeks`` before it, training the rest."""
-    week = 7 * (MINUTES_PER_DAY // cfg.interval_minutes)
+    week = 7 * intervals_per_day(cfg.interval_minutes)
     total = cfg.weeks * week
     test_lo = total - test_weeks * week
     val_lo = test_lo - val_weeks * week
@@ -303,47 +313,36 @@ def load_dataset(manifest_path) -> Dataset:
     n = manifest["vertex_count"]
     if manifest["grid_rows"] * manifest["grid_cols"] != n:
         raise ValueError(f"{manifest_path}: grid dims do not multiply to vertex_count {n}")
+    _prefixed(f"{manifest_path}.", intervals_per_day, manifest["interval_minutes"])
 
-    demand = _read_matrix(base / manifest["demand_csv"])
+    demand_path = base / manifest["demand_csv"]
+    demand = _read_matrix(demand_path)
     if demand.shape[0] != n:
-        raise ValueError(
-            f"{base / manifest['demand_csv']}: expected {n} rows, got {demand.shape[0]}"
-        )
+        raise ValueError(f"{demand_path}: expected {n} rows, got {demand.shape[0]}")
     splits = _checked_splits(manifest["splits"], demand.shape[1], manifest_path)
-    negative = np.nonzero((demand < 0).any(axis=1))[0]
-    if negative.size:
-        raise ValueError(
-            f"{base / manifest['demand_csv']}: negative demand in row {negative[0]}"
-        )
+    series = _prefixed(f"{demand_path}: ", DemandSeries, demand, manifest["interval_minutes"])
 
-    poi = _read_matrix(base / manifest["poi_csv"])
+    poi_path = base / manifest["poi_csv"]
+    poi = _read_matrix(poi_path)
     if poi.shape[0] != n:
-        raise ValueError(f"{base / manifest['poi_csv']}: expected {n} rows, got {poi.shape[0]}")
-
-    road = _read_matrix(base / manifest["road_csv"])
-    if road.shape != (n, n):
-        raise ValueError(
-            f"{base / manifest['road_csv']}: expected {n}x{n}, got {road.shape}"
-        )
-    asym = np.nonzero(road != road.T)
-    if asym[0].size:
-        raise ValueError(
-            f"{base / manifest['road_csv']}: asymmetric at row {asym[0][0]}, col {asym[1][0]}"
-        )
+        raise ValueError(f"{poi_path}: expected {n} rows, got {poi.shape[0]}")
+    road_path = base / manifest["road_csv"]
+    road = _read_matrix(road_path)
 
     neighborhood = build_neighborhood(manifest["grid_rows"], manifest["grid_cols"])
-    try:
-        poi_graph = build_poi_similarity(poi)
-    except ValueError as exc:
-        raise ValueError(f"{base / manifest['poi_csv']}: {exc}") from exc
-    try:
-        road_graph = build_road_connectivity(road, neighborhood)
-    except ValueError as exc:
-        raise ValueError(f"{base / manifest['road_csv']}: {exc}") from exc
-    graphs = [neighborhood, poi_graph, road_graph]
-    series = DemandSeries(demand, manifest["interval_minutes"])
+    graphs = [neighborhood, _prefixed(f"{poi_path}: ", build_poi_similarity, poi),
+              _prefixed(f"{road_path}: ", build_road_connectivity, road, neighborhood)]
     return Dataset(graphs, series, poi, road, manifest["grid_rows"], manifest["grid_cols"],
                    splits)
+
+
+def _prefixed(prefix: str, build, *args):
+    """``build(*args)``, with ``prefix`` put before the message of any
+    ``ValueError`` it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from exc
 
 
 def _checked_splits(splits, total: int, manifest_path: Path) -> dict:

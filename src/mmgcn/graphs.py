@@ -307,8 +307,10 @@ def build_road_connectivity(conn: np.ndarray, neighborhood: RelationGraph) -> Re
         raise ValueError("connectivity entries must be 0 or 1")
     if np.diagonal(conn).any():
         raise ValueError("connectivity diagonal must be zero")
-    if not np.array_equal(conn, conn.T):
-        raise ValueError("connectivity must be symmetric")
+    asym = np.argwhere(conn != conn.T)
+    if asym.size:
+        raise ValueError(f"connectivity must be symmetric, but row {asym[0][0]}, "
+                         f"col {asym[0][1]} differs from its transpose")
     adjacency = np.maximum(0.0, conn - neighborhood.adjacency)
     return RelationGraph(ROAD_CONNECTIVITY, adjacency)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 _REQUIRED = object()  # the default of a schema that requires a value
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
-               str: "a string", type(None): "null"}
+               str: "a string", list: "a list", type(None): "null"}
 
 
 def read_json(path):
@@ -81,8 +81,8 @@ def _check(value, schema, path: str, errors: dict):
         return [_check(item, schema[0], f"{path}[{idx}]", errors)
                 for idx, item in enumerate(value)]
     else:
-        kinds = [s if isinstance(s, type) else type(s)
-                 for s in (schema if isinstance(schema, tuple) else (schema,))]
+        kinds = list(dict.fromkeys(s if isinstance(s, type) else type(s)
+                                   for s in (schema if isinstance(schema, tuple) else (schema,))))
         if (type(value) not in kinds and not (type(value) is int and float in kinds)
                 or type(value) is float and not math.isfinite(value)):
             expected = " or ".join(_KIND_NAMES[kind] for kind in kinds)

@@ -4,16 +4,13 @@ feature-independence scoring, and modality-relationship export."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
+from .data import intervals_per_day
 from .numerics import NumericalFailure
-from .regularization import CovarianceSet
 
 PATTERN_SMOOTHING = 1e-9
-
-MODALITY_LABELS = ("neighborhood", "poi_similarity", "road_connectivity")
 
 
 def rmse(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -42,10 +39,10 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p * np.log(p / q)))
 
 
-def kl_temporal_drift(train_values, test_values, interval_minutes: int = 30) -> list:
+def kl_temporal_drift(train_values, test_values, interval_minutes: int) -> list:
     """Per test week, the KL divergence from the last training week's temporal
     pattern to that week's; both ``(V, T)`` arrays must cover whole weeks."""
-    week = 7 * (1440 // interval_minutes)
+    week = 7 * intervals_per_day(interval_minutes)
     train_patterns = _weekly_patterns(np.asarray(train_values, dtype=float), week)
     test_patterns = _weekly_patterns(np.asarray(test_values, dtype=float), week)
     return [_kl(train_patterns[-1], pattern) for pattern in test_patterns]
@@ -74,31 +71,16 @@ def feature_independence(activations: np.ndarray, include_diagonal: bool = True)
     return -float(np.log(norm))
 
 
-@dataclass(frozen=True)
-class RelationshipMatrix:
-    """Correlation form of the modality-mode covariance, plus the raw matrix."""
-
-    layer_id: int
-    matrix: np.ndarray
-    raw: np.ndarray
-    labels: tuple
-
-
-def modality_relationship(
-    cov: CovarianceSet, layer_id: int, labels=MODALITY_LABELS
-) -> RelationshipMatrix:
-    """Scale-free modality relationships R_ij = S_ij / sqrt(S_ii S_jj) from
-    the modality-mode covariance."""
-    sigma = cov.sigma[3]
+def modality_relationship(sigma: np.ndarray) -> np.ndarray:
+    """Scale-free modality relationships R_ij = S_ij / sqrt(S_ii S_jj) of the
+    modality-mode covariance ``sigma``."""
     diag = np.diagonal(sigma)
     if (diag <= 0).any():
         raise NumericalFailure("modality covariance has a non-positive diagonal")
     scale = np.sqrt(diag)
     matrix = np.clip(sigma / np.outer(scale, scale), -1.0, 1.0)
     np.fill_diagonal(matrix, 1.0)
-    if len(labels) != sigma.shape[0]:
-        labels = tuple(f"modality_{i}" for i in range(sigma.shape[0]))
-    return RelationshipMatrix(layer_id, matrix, sigma.copy(), tuple(labels))
+    return matrix
 
 
 def stack_targets(samples) -> np.ndarray:

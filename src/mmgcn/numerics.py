@@ -16,6 +16,9 @@ import numpy as np
 
 MODE_NAMES = ("I", "O", "C", "M")
 
+# The largest eigenvalue ratio that ``spd_inverse`` accepts as numerically SPD.
+SPD_COND_LIMIT = 1e12
+
 
 class NumericalFailure(RuntimeError):
     """A linear-algebra operation left the numerically trustworthy regime."""
@@ -53,7 +56,7 @@ def mode_products(tensor: np.ndarray, matrices: Sequence) -> np.ndarray:
     return image
 
 
-def spd_inverse(matrix: np.ndarray, cond_limit: float = 1e12) -> np.ndarray:
+def spd_inverse(matrix: np.ndarray) -> np.ndarray:
     """Invert a symmetric positive definite matrix.
 
     The condition is estimated on the input itself, so a singular matrix
@@ -66,10 +69,10 @@ def spd_inverse(matrix: np.ndarray, cond_limit: float = 1e12) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     sym = (matrix + matrix.T) / 2.0
     eigs = np.linalg.eigvalsh(sym)
-    if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > cond_limit:
+    if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > SPD_COND_LIMIT:
         raise NumericalFailure(
             f"matrix of size {n} is not numerically SPD "
-            f"(eigenvalue range [{eigs[0]:.3g}, {eigs[-1]:.3g}], limit {cond_limit:g})"
+            f"(eigenvalue range [{eigs[0]:.3g}, {eigs[-1]:.3g}], limit {SPD_COND_LIMIT:g})"
         )
     chol = None
     for jitter in (0.0, 1e-10):

@@ -304,6 +304,12 @@ def test_malformed_config_exits_2_naming_field(tmp_path, capsys, command, payloa
                            ({"reg": {"epsilon": 2.0}}, "config.train.reg.epsilon"),
                            ({"seed": -1}, "config.train.seed"))),
     ("synth", {"grid_rows": 2, "grid_cols": 2, "weeks": 3, "seed": -3}, "config.seed"),
+    *((command, {"manifest": "nope.json", "network": network}, field)
+      for command in ("train", "evaluate", "predict", "analyze")
+      for network, field in (({"cheb_degree": -1}, "config.network.cheb_degree"),
+                             ({"output_dims": [4, 2]}, "config.network.output_dims"),
+                             ({"output_dims": [0, 1]}, "config.network.output_dims"),
+                             ({"output_dims": []}, "config.network.output_dims"))),
 ])
 def test_config_range_checked_before_any_file(tmp_path, capsys, command, payload, field):
     # the manifest does not exist either: the range check comes first
@@ -352,6 +358,24 @@ def test_malformed_manifest_exits_2(city3x3, tmp_path, capsys, edit, message):
     })
     assert dispatch(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
     assert message.format(manifest=edited) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,make_config,field", [
+    ("synth", lambda city: {"grid_rows": 2, "grid_cols": 2, "weeks": 3, "interval_minutes": 0},
+     "config.interval_minutes"),
+    ("synth", lambda city: {"grid_rows": 2, "grid_cols": 2, "weeks": 3, "interval_minutes": 7},
+     "config.interval_minutes"),
+    *((command, lambda city: {"manifest": str(city / "manifest7.json")},
+       "{city}/manifest7.json.interval_minutes") for command in ("train", "evaluate")),
+], ids=["synth-0", "synth-7", "train-manifest-7", "evaluate-manifest-7"])
+def test_interval_minutes_named(city3x3, tmp_path, capsys, command, make_config, field):
+    manifest = json.loads((city3x3 / "manifest.json").read_text())
+    write_json(city3x3 / "manifest7.json", {**manifest, "interval_minutes": 7})
+    config = write_json(tmp_path / "config.json", make_config(city3x3))
+    out = tmp_path / "out"
+    assert dispatch([command, "--config", str(config), "--out", str(out)]) == 2
+    assert f"{field.format(city=city3x3)} must" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

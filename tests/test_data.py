@@ -247,6 +247,18 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="row"):
             D.load_dataset(manifest)
 
+    @pytest.mark.parametrize("bad,shown", [(float("nan"), "nan"), (float("inf"), "inf"),
+                                           (-2.0, "-2.0")])
+    def test_bad_demand_names_file_and_row(self, tmp_path, bad, shown):
+        cfg = D.SynthConfig(2, 2, weeks=2, seed=0)
+        ds = D.generate_synthetic(cfg)
+        ds.series.values[2, 5] = bad
+        manifest = D.save_dataset(ds, tmp_path, D.default_splits(cfg, 0, 0))
+        with pytest.raises(ValueError) as err:
+            D.load_dataset(manifest)
+        assert str(err.value) == (f"{tmp_path / 'demand.csv'}: demand values must be finite "
+                                  f"and nonnegative, row 2 holds {shown}")
+
     def test_asymmetric_road_rejected(self, tmp_path):
         cfg = D.SynthConfig(3, 3, weeks=2, seed=4)
         ds = D.generate_synthetic(cfg)

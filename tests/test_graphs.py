@@ -197,6 +197,12 @@ class TestBuildRoadConnectivity:
         with pytest.raises(ValueError):
             build_road_connectivity(np.zeros((3, 3)), build_neighborhood(2, 2))
 
+    def test_asymmetry_names_first_cell(self):
+        conn = np.zeros((4, 4))
+        conn[3, 1] = 1.0
+        with pytest.raises(ValueError, match="row 1, col 3 differs from its transpose"):
+            build_road_connectivity(conn, build_neighborhood(2, 2))
+
 
 class TestNormalizedLaplacian:
     def test_single_edge(self):

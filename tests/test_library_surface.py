@@ -24,3 +24,10 @@ def test_every_public_name_has_a_system_caller():
                             if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
     unused = sorted(name for name in defined if not uses[name])
     assert not unused, f"library names only tests reach: {unused}"
+
+
+def test_package_binds_no_name():
+    # the package exports nothing: every name is imported from its module
+    tree = ast.parse((ROOT / "src" / "mmgcn" / "__init__.py").read_text())
+    body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+    assert not body, f"mmgcn/__init__.py binds names: {[ast.unparse(node) for node in body]}"

@@ -3,7 +3,6 @@ import pytest
 
 from mmgcn import metrics as M
 from mmgcn.numerics import NumericalFailure
-from mmgcn.regularization import CovarianceSet
 
 from conftest import historical_average_baseline, historical_average_rmse, zeros_baseline_rmse
 
@@ -114,41 +113,30 @@ class TestFeatureIndependence:
             M.feature_independence(np.ones((10, 1)))
 
 
-def cov_with_sigma_m(sigma_m):
-    sigma_m = np.asarray(sigma_m, dtype=float)
-    m = sigma_m.shape[0]
-    return CovarianceSet([np.eye(2), np.eye(2), np.eye(3), sigma_m],
-                         (False, False, False, False))
-
-
 class TestModalityRelationship:
     def test_identity_covariance(self):
-        rel = M.modality_relationship(cov_with_sigma_m(np.eye(3)), layer_id=3)
-        np.testing.assert_array_equal(rel.matrix, np.eye(3))
-        assert rel.labels == M.MODALITY_LABELS
+        matrix = M.modality_relationship(np.eye(3))
+        np.testing.assert_array_equal(matrix, np.eye(3))
 
     def test_rank_one_covariance(self):
-        rel = M.modality_relationship(cov_with_sigma_m([[4.0, 2.0], [2.0, 1.0]]), 3)
-        np.testing.assert_allclose(rel.matrix, np.ones((2, 2)))
+        matrix = M.modality_relationship(np.array([[4.0, 2.0], [2.0, 1.0]]))
+        np.testing.assert_allclose(matrix, np.ones((2, 2)))
 
     def test_negative_relationship(self):
-        sigma = [[1.0, -0.5], [-0.5, 1.0]]
-        rel = M.modality_relationship(cov_with_sigma_m(sigma), 4)
-        assert rel.matrix[0, 1] == pytest.approx(-0.5)
-        np.testing.assert_array_equal(rel.raw, sigma)
+        sigma = np.array([[1.0, -0.5], [-0.5, 1.0]])
+        matrix = M.modality_relationship(sigma)
+        assert matrix[0, 1] == pytest.approx(-0.5)
 
     def test_unit_diagonal_and_bounds(self):
         rng = np.random.default_rng(7)
         b = rng.normal(size=(3, 3))
-        rel = M.modality_relationship(cov_with_sigma_m(b @ b.T + 0.1 * np.eye(3)), 3)
-        np.testing.assert_array_equal(np.diagonal(rel.matrix), np.ones(3))
-        assert (np.abs(rel.matrix) <= 1.0).all()
+        matrix = M.modality_relationship(b @ b.T + 0.1 * np.eye(3))
+        np.testing.assert_array_equal(np.diagonal(matrix), np.ones(3))
+        assert (np.abs(matrix) <= 1.0).all()
 
     def test_nonpositive_diagonal_fails(self):
-        cov = cov_with_sigma_m(np.eye(2))
-        cov.sigma[3] = np.diag([1.0, 0.0])
         with pytest.raises(NumericalFailure):
-            M.modality_relationship(cov, 3)
+            M.modality_relationship(np.diag([1.0, 0.0]))
 
 
 class TestBaselines:

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -14,7 +15,7 @@ from mmgcn import metrics as M
 from mmgcn import training as T
 from mmgcn.jsonio import checked, read_json
 from mmgcn.numerics import MODE_NAMES, NumericalFailure
-from mmgcn.regularization import RegularizerConfig
+from mmgcn.regularization import RegularizerConfig, flip_flop_update
 
 from conftest import (
     historical_average_rmse,
@@ -422,6 +423,36 @@ class TestTrain:
         with pytest.raises(ValueError):
             T.train({"train": [], "val": splits["val"]}, ds.graphs, small_net(),
                     T.TrainConfig(max_epochs=1))
+
+
+class TestCovarianceUpdate:
+    """``_update_covariances`` re-estimates each free mode of every MRGCN layer
+    in turn; ``normalize_covariance`` alone decides the trace rescale."""
+
+    def _updated(self, normalize):
+        params = L.init_network_params(small_net(("mrgcn", "mrgcn")), 1, frozen_modes=())
+        before = [copy.deepcopy(layer.covariances) for layer in params.layers]
+        reg = RegularizerConfig(frozen_modes=(), normalize_covariance=normalize)
+        T._update_covariances(params, reg)
+        return params, before, reg
+
+    def test_off_stores_flip_flop_output_unchanged(self):
+        params, before, reg = self._updated(False)
+        for layer, cov in zip(params.layers, before):
+            for mode in range(4):
+                expected = flip_flop_update(layer.weights, cov, mode, reg.epsilon,
+                                            reg.flip_flop_form)
+                np.testing.assert_array_equal(layer.covariances.sigma[mode], expected)
+                cov.replace(mode, expected)  # the next mode reads the updated set
+        averages = [np.trace(s) / s.shape[0]
+                    for layer in params.layers for s in layer.covariances.sigma]
+        assert not np.allclose(averages, 1.0)
+
+    def test_on_gives_each_free_mode_unit_trace_average(self):
+        params, _, _ = self._updated(True)
+        for layer in params.layers:
+            for sigma in layer.covariances.sigma:
+                assert np.trace(sigma) / sigma.shape[0] == pytest.approx(1.0, rel=1e-12)
 
 
 class TestCheckpoint:
