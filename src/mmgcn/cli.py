@@ -24,7 +24,7 @@ from . import layers as L
 from . import metrics as M
 from . import training as T
 from .graphs import CHEBYSHEV_BASIS, POWER_BASIS, compare_graphs, graph_bases, graph_density
-from .jsonio import checked, read_json
+from .jsonio import checked, prefixed, read_json
 from .numerics import NumericalFailure
 from .regularization import RegularizerConfig
 
@@ -130,19 +130,11 @@ def _build_net_config(config: dict, vertex_count: int) -> L.NetworkConfig:
     )
 
 
-def _build(cls, name: str, **values):
-    """``cls(**values)``; a range error, whose message begins with the
-    field's name, is reported under the section ``name``."""
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ValueError(f"{name}.{exc}") from exc
-
-
 def _train_config(config: dict) -> T.TrainConfig:
     section = dict(config["train"])
-    reg = _build(RegularizerConfig, "config.train.reg", **section.pop("reg"))
-    return _build(T.TrainConfig, "config.train", reg=reg, **section)
+    # each range error's message begins with the field's name
+    reg = prefixed("config.train.reg.", RegularizerConfig, **section.pop("reg"))
+    return prefixed("config.train.", T.TrainConfig, reg=reg, **section)
 
 
 def _split_samples(dataset) -> dict:
@@ -169,10 +161,14 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _cmd_synth(config_path, out_dir) -> int:
     config = checked(read_json(config_path), _SYNTH_DEFAULTS, "config")
-    synth_cfg = _build(D.SynthConfig, "config", **{
+    for name, least in (("val_weeks", 1), ("test_weeks", 0)):
+        if config[name] < least:
+            raise ValueError(f"config.{name} must be >= {least}, got {config[name]!r}")
+    synth_cfg = prefixed("config.", D.SynthConfig, **{
         k: v for k, v in config.items() if k not in ("val_weeks", "test_weeks")})
+    splits = prefixed("config.", D.default_splits, synth_cfg, config["val_weeks"],
+                      config["test_weeks"])
     dataset = D.generate_synthetic(synth_cfg)
-    splits = D.default_splits(synth_cfg, config["val_weeks"], config["test_weeks"])
     manifest_path = D.save_dataset(dataset, out_dir, splits)
     _write_json(Path(out_dir) / "synth_config.json", config)
     print(f"wrote dataset manifest {manifest_path}")
@@ -275,16 +271,14 @@ def _drift_rows(dataset, test_samples, state, bases) -> list:
     return rows
 
 
-def _independence(hidden, names, include_diag: bool) -> list:
+def _independence(covariances, names, include_diag: bool) -> list:
     """Per hidden layer with at least two features, each modality's score."""
     layers = []
-    for idx, h in enumerate(hidden, start=1):
-        if h.shape[3] < 2:
+    for idx, cov in enumerate(covariances, start=1):
+        if cov.shape[-1] < 2:
             continue
-        per_modality = {
-            name: M.feature_independence(hj.reshape(-1, h.shape[3]), include_diag)
-            for name, hj in zip(names, h)
-        }
+        per_modality = {name: M.feature_independence(cj, include_diag)
+                        for name, cj in zip(names, cov)}
         mean = float(np.mean(list(per_modality.values())))
         layers.append({"layer": idx, "per_modality": per_modality, "mean": mean})
     return layers
@@ -304,12 +298,10 @@ def _cmd_analyze(config_path, out_dir) -> int:
     _write_csv(out / "drift.csv", header, rows)
     _write_json(out / "drift.json", {"weeks": [dict(zip(header, row)) for row in rows]})
 
-    eval_samples = (splits["test"] or splits["val"])[: analysis["max_samples"]]
-    if not eval_samples:
-        raise ValueError("analysis needs a nonempty test or validation split")
-    x_batch = np.stack([s.input for s in eval_samples])
-    _, hidden = L.network_forward_hidden(x_batch, bases, state.params)
-    independence = _independence(hidden, names, analysis["include_diagonal"])
+    # _drift_rows has checked that the test split holds a whole week
+    x_batch = np.stack([s.input for s in splits["test"][: analysis["max_samples"]]])
+    covariances = L.feature_covariances(x_batch, bases, state.params)
+    independence = _independence(covariances, names, analysis["include_diagonal"])
     _write_json(out / "feature_independence.json", {"layers": independence})
     _write_csv(out / "feature_independence.csv", ("layer", "modality", "independence"),
                [(e["layer"], name, value)

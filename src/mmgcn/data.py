@@ -22,7 +22,7 @@ from .graphs import (
     build_poi_similarity,
     build_road_connectivity,
 )
-from .jsonio import checked, read_json
+from .jsonio import checked, prefixed, read_json
 
 MINUTES_PER_DAY = 1440
 
@@ -289,7 +289,9 @@ def default_splits(cfg: SynthConfig, val_weeks: int = 1, test_weeks: int = 1) ->
     test_lo = total - test_weeks * week
     val_lo = test_lo - val_weeks * week
     if val_lo <= week:
-        raise ValueError("not enough weeks to carve out validation and test splits")
+        raise ValueError(f"weeks must be more than 1 + val_weeks + test_weeks = "
+                         f"{1 + val_weeks + test_weeks} to carve out training, validation "
+                         f"and test splits, got {cfg.weeks!r}")
     return {"train": [week, val_lo], "val": [val_lo, test_lo], "test": [test_lo, total]}
 
 
@@ -311,16 +313,19 @@ def load_dataset(manifest_path) -> Dataset:
     manifest = checked(read_json(manifest_path), _MANIFEST_SCHEMA, str(manifest_path))
     base = manifest_path.parent
     n = manifest["vertex_count"]
+    for name in ("grid_rows", "grid_cols"):
+        if manifest[name] < 1:
+            raise ValueError(f"{manifest_path}.{name} must be >= 1, got {manifest[name]!r}")
     if manifest["grid_rows"] * manifest["grid_cols"] != n:
         raise ValueError(f"{manifest_path}: grid dims do not multiply to vertex_count {n}")
-    _prefixed(f"{manifest_path}.", intervals_per_day, manifest["interval_minutes"])
+    prefixed(f"{manifest_path}.", intervals_per_day, manifest["interval_minutes"])
 
     demand_path = base / manifest["demand_csv"]
     demand = _read_matrix(demand_path)
     if demand.shape[0] != n:
         raise ValueError(f"{demand_path}: expected {n} rows, got {demand.shape[0]}")
     splits = _checked_splits(manifest["splits"], demand.shape[1], manifest_path)
-    series = _prefixed(f"{demand_path}: ", DemandSeries, demand, manifest["interval_minutes"])
+    series = prefixed(f"{demand_path}: ", DemandSeries, demand, manifest["interval_minutes"])
 
     poi_path = base / manifest["poi_csv"]
     poi = _read_matrix(poi_path)
@@ -330,19 +335,10 @@ def load_dataset(manifest_path) -> Dataset:
     road = _read_matrix(road_path)
 
     neighborhood = build_neighborhood(manifest["grid_rows"], manifest["grid_cols"])
-    graphs = [neighborhood, _prefixed(f"{poi_path}: ", build_poi_similarity, poi),
-              _prefixed(f"{road_path}: ", build_road_connectivity, road, neighborhood)]
+    graphs = [neighborhood, prefixed(f"{poi_path}: ", build_poi_similarity, poi),
+              prefixed(f"{road_path}: ", build_road_connectivity, road, neighborhood)]
     return Dataset(graphs, series, poi, road, manifest["grid_rows"], manifest["grid_cols"],
                    splits)
-
-
-def _prefixed(prefix: str, build, *args):
-    """``build(*args)``, with ``prefix`` put before the message of any
-    ``ValueError`` it raises."""
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise ValueError(f"{prefix}{exc}") from exc
 
 
 def _checked_splits(splits, total: int, manifest_path: Path) -> dict:

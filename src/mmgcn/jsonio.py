@@ -1,5 +1,7 @@
 """The one JSON reader and schema check for every file the program reads: the
-run and ``synth`` configs, ``manifest.json`` and ``checkpoint.json``.
+run and ``synth`` configs, ``manifest.json`` and ``checkpoint.json``, plus
+``prefixed``, which names the file or field behind a value another check
+rejects.
 
 A schema is built from plain values.  A dict is an object whose keys are the
 only fields it may hold; a list is a list of its first element's schema.  A
@@ -46,6 +48,16 @@ def checked(value, schema, name: str):
         if kind in errors:
             raise ValueError(errors[kind])
     return result
+
+
+def prefixed(prefix: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with ``prefix`` put before the message of
+    any ``ValueError`` it raises: the path of the file or field the values
+    came from."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from exc
 
 
 def _default(schema):

@@ -335,10 +335,15 @@ def _backward_batch(d_pred, caches, bases, params: NetworkParams):
     return grads
 
 
-def _window_chunks(windows: int, vertex_count: int):
-    """Slices of at most ``max(1, ROW_BUDGET // V)`` windows covering ``windows``."""
-    step = max(1, ROW_BUDGET // vertex_count)
-    return [slice(start, start + step) for start in range(0, windows, step)]
+def _forward_chunks(windows, bases, params: NetworkParams, keep_caches=False, keep_hidden=False):
+    """Yield each chunk's slice of ``windows`` (a (B, V, T) array or a list of
+    (V, T) inputs), at most ``max(1, ROW_BUDGET // V)`` windows, with
+    :func:`_forward_batch`'s ``(pred, caches, hidden)`` for the chunk."""
+    step = max(1, ROW_BUDGET // len(windows[0]))
+    for start in range(0, len(windows), step):
+        rows = slice(start, start + step)
+        yield rows, *_forward_batch(np.asarray(windows[rows]), bases, params, keep_caches,
+                                    keep_hidden)
 
 
 def batch_loss(x_batch, y_batch, bases, params: NetworkParams, reg: RegularizerConfig,
@@ -361,8 +366,7 @@ def batch_loss(x_batch, y_batch, bases, params: NetworkParams, reg: RegularizerC
         raise ValueError("batch must be nonempty")
     residual = np.empty((b, v))
     grads = None
-    for rows in _window_chunks(b, v):
-        pred, caches, _ = _forward_batch(x_batch[rows], bases, params, keep_caches=with_grads)
+    for rows, pred, caches, _ in _forward_chunks(x_batch, bases, params, keep_caches=with_grads):
         chunk = np.subtract(pred, y_batch[rows], out=residual[rows])
         if not with_grads:
             continue
@@ -403,9 +407,8 @@ def predict_batches(samples, bases, params: NetworkParams) -> np.ndarray:
         raise ValueError("no samples to predict")
     v = samples[0].input.shape[0]
     preds = np.empty((len(samples), v))
-    for rows in _window_chunks(len(samples), v):
-        x_batch = np.stack([s.input for s in samples[rows]])
-        preds[rows] = _forward_batch(x_batch, bases, params)[0]
+    for rows, pred, _, _ in _forward_chunks([s.input for s in samples], bases, params):
+        preds[rows] = pred
     return preds
 
 
@@ -456,9 +459,29 @@ def network_forward_hidden(x_batch: np.ndarray, bases, params: NetworkParams):
     pred = np.empty((b, v))
     hidden = [np.empty((params.config.modalities, b, v, spec.out_dim))
               for spec in params.config.layer_specs]
-    for rows in _window_chunks(b, v):
-        pred[rows], _, chunk_hidden = _forward_batch(x_batch[rows], bases, params,
-                                                     keep_hidden=True)
+    for rows, chunk_pred, _, chunk_hidden in _forward_chunks(x_batch, bases, params,
+                                                             keep_hidden=True):
+        pred[rows] = chunk_pred
         for out, h in zip(hidden, chunk_hidden):
             out[:, rows] = h.transpose(0, 2, 1, 3)
     return pred, hidden
+
+
+def feature_covariances(x_batch: np.ndarray, bases, params: NetworkParams) -> list:
+    """Each layer's per-modality (M, f, f) covariance of its post-activation
+    features over the (window, vertex) rows of ``x_batch``, as ``np.cov``
+    gives it, from a pass in :data:`ROW_BUDGET` chunks: each chunk's mean and
+    centred scatter merge into the running ones (Chan, Golub & LeVeque 1979),
+    so no layer's features outlive their chunk."""
+    moments = [(0, 0.0, 0.0)] * len(params.layers)  # rows so far, mean, scatter
+    for _, _, _, hidden in _forward_chunks(x_batch, bases, params, keep_hidden=True):
+        for idx, h in enumerate(hidden):
+            rows = h.reshape(h.shape[0], -1, h.shape[-1])
+            n, mean = rows.shape[1], rows.mean(axis=1)
+            centred = rows - mean[:, None]
+            seen, seen_mean, seen_scatter = moments[idx]
+            delta, total = mean - seen_mean, seen + n
+            moments[idx] = (total, seen_mean + delta * (n / total),
+                            seen_scatter + centred.transpose(0, 2, 1) @ centred
+                            + delta[:, :, None] * delta[:, None, :] * (seen * n / total))
+    return [scatter * (1.0 / (n - 1)) for n, _, scatter in moments]

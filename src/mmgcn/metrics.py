@@ -48,19 +48,17 @@ def kl_temporal_drift(train_values, test_values, interval_minutes: int) -> list:
     return [_kl(train_patterns[-1], pattern) for pattern in test_patterns]
 
 
-def feature_independence(activations: np.ndarray, include_diagonal: bool = True) -> float:
-    """Negative log Frobenius norm of the feature covariance matrix.
+def feature_independence(cov: np.ndarray, include_diagonal: bool = True) -> float:
+    """Negative log Frobenius norm of a feature covariance matrix.
 
-    Higher means weaker co-variation between hidden features.  Rows are
-    flattened (sample, vertex) pairs, columns are features.  Constant
-    activations have zero covariance; that degenerate case returns +inf with
-    a warning.  ``include_diagonal=False`` scores only off-diagonal entries,
+    Higher means weaker co-variation between hidden features.  Constant
+    features have zero covariance; that degenerate case returns +inf with a
+    warning.  ``include_diagonal=False`` scores only off-diagonal entries,
     for readings that exclude the variances themselves.
     """
-    activations = np.asarray(activations, dtype=float)
-    if activations.ndim != 2 or activations.shape[0] < 2 or activations.shape[1] < 2:
-        raise ValueError(f"need at least 2 rows and 2 features, got {activations.shape}")
-    cov = np.cov(activations, rowvar=False)
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] < 2:
+        raise ValueError(f"need a square covariance of at least 2 features, got {cov.shape}")
     if not include_diagonal:
         cov = cov - np.diag(np.diagonal(cov))
     norm = float(np.linalg.norm(cov))

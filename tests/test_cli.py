@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mmgcn import layers
 from mmgcn.cli import dispatch
 from mmgcn.data import SynthConfig
-from mmgcn.layers import init_network_params
+from mmgcn.layers import feature_covariances, init_network_params
 from mmgcn.regularization import RegularizerConfig
 from mmgcn.training import TrainConfig, init_train_state, load_checkpoint, save_checkpoint
 
@@ -179,7 +180,12 @@ class TestPredict:
 
 
 class TestAnalyze:
-    def test_exports_artifacts(self, workspace):
+    def test_exports_artifacts(self, workspace, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("analyze holds the whole pass's features")
+
+        # the analysis streams its covariances instead
+        monkeypatch.setattr(layers, "network_forward_hidden", refuse)
         run = workspace["run"]
         assert dispatch(["analyze", "--config", str(workspace["config"]),
                          "--out", str(run)]) == 0
@@ -211,6 +217,29 @@ class TestAnalyze:
         drift_json = json.loads((run / "drift.json").read_text())
         assert len(drift_json["weeks"]) == 1
         assert (run / "feature_independence.csv").exists()
+
+        # without the diagonal, each score is -ln of the off-diagonal norm of
+        # the covariance the analysis computed
+        covariances = []
+
+        def spy(*args):
+            covariances.append(feature_covariances(*args))
+            return covariances[-1]
+
+        monkeypatch.setattr(layers, "feature_covariances", spy)
+        copied = tmp_path / "run"
+        shutil.copytree(run, copied)
+        config = write_json(tmp_path / "off_diagonal.json", {
+            **json.loads(workspace["config"].read_text()),
+            "analysis": {"include_diagonal": False}})
+        assert dispatch(["analyze", "--config", str(config), "--out", str(copied)]) == 0
+        off = json.loads((copied / "feature_independence.json").read_text())["layers"][0]
+        cov = covariances[0][0]
+        assert cov.shape == (3, 4, 4)  # three modalities, four layer-1 features
+        for cj, (name, value) in zip(cov, off["per_modality"].items()):
+            assert value == pytest.approx(-np.log(np.linalg.norm(cj - np.diag(np.diag(cj)))),
+                                          rel=1e-12)
+            assert value > independence["layers"][0]["per_modality"][name]
 
 
 def run_pipeline(root: Path, train_seed: int = 0) -> None:
@@ -297,6 +326,11 @@ def test_malformed_config_exits_2_naming_field(tmp_path, capsys, command, payloa
     assert f"{field} must be" in capsys.readouterr().err
 
 
+# a 4x4 manifest edited to negative grid dimensions, by the field reported
+NEGATIVE_GRIDS = {"grid_rows": {"grid_rows": -4, "grid_cols": -4},
+                  "grid_cols": {"grid_rows": 4, "grid_cols": -4}}
+
+
 @pytest.mark.parametrize("command,payload,field", [
     *((command, {"manifest": "nope.json", "train": train}, field)
       for command in ("train", "evaluate", "predict", "analyze")
@@ -310,9 +344,23 @@ def test_malformed_config_exits_2_naming_field(tmp_path, capsys, command, payloa
                              ({"output_dims": [4, 2]}, "config.network.output_dims"),
                              ({"output_dims": [0, 1]}, "config.network.output_dims"),
                              ({"output_dims": []}, "config.network.output_dims"))),
+    *(("synth", {"grid_rows": 2, "grid_cols": 2, "weeks": 3, **weeks}, field)
+      for weeks, field in (({"val_weeks": -1}, "config.val_weeks"),
+                           ({"test_weeks": -2}, "config.test_weeks"),
+                           ({"val_weeks": 0}, "config.val_weeks"),
+                           ({"val_weeks": 1, "test_weeks": 1}, "config.weeks"))),
+    *((command, {"manifest": f"{field}.json"}, f"{field}.json.{field}")
+      for command in ("train", "evaluate", "predict", "analyze")
+      for field in NEGATIVE_GRIDS),
 ])
 def test_config_range_checked_before_any_file(tmp_path, capsys, command, payload, field):
-    # the manifest does not exist either: the range check comes first
+    # the manifest does not exist either: the range check comes first; a
+    # manifest with a negative grid dimension names it before reading a CSV
+    for name, dims in NEGATIVE_GRIDS.items():
+        write_json(tmp_path / f"{name}.json", {
+            "vertex_count": 16, "interval_minutes": 30, "demand_csv": "demand.csv",
+            "poi_csv": "poi.csv", "road_csv": "road.csv", **dims,
+            "splits": {"train": [336, 672], "val": [672, 1008], "test": [1008, 1344]}})
     cfg = write_json(tmp_path / "config.json", payload)
     out = tmp_path / "out"
     extra = ["--index", "400"] if command == "predict" else []

@@ -71,46 +71,51 @@ class TestKlTemporalDrift:
         assert all(b > a for a, b in zip(kls, kls[1:]))
 
 
+def score(activations, include_diagonal=True):
+    """The independence score of (rows, features) activations."""
+    return M.feature_independence(np.cov(activations, rowvar=False), include_diagonal)
+
+
 class TestFeatureIndependence:
     def test_perfectly_correlated_features(self):
         rng = np.random.default_rng(3)
         z = rng.normal(size=100000)
         z = (z - z.mean()) / z.std(ddof=1)  # exactly unit sample variance
         activations = np.stack([z, z], axis=1)
-        assert M.feature_independence(activations) == pytest.approx(-np.log(2.0), abs=1e-9)
+        assert score(activations) == pytest.approx(-np.log(2.0), abs=1e-9)
 
     def test_independent_features_variance_v(self):
         rng = np.random.default_rng(4)
         v = 2.5
         activations = rng.normal(0.0, np.sqrt(v), size=(100000, 2))
         expected = -np.log(v * np.sqrt(2.0))
-        assert M.feature_independence(activations) == pytest.approx(expected, abs=0.05)
+        assert score(activations) == pytest.approx(expected, abs=0.05)
 
     def test_scaling_shifts_by_minus_two_log(self):
         rng = np.random.default_rng(5)
         activations = rng.normal(size=(500, 4))
-        base = M.feature_independence(activations)
+        base = score(activations)
         for c in (2.0, 10.0):
-            scaled = M.feature_independence(c * activations)
+            scaled = score(c * activations)
             assert scaled == pytest.approx(base - 2.0 * np.log(c), rel=1e-9)
 
     def test_constant_activations_flagged(self):
         with pytest.warns(UserWarning, match="zero"):
-            value = M.feature_independence(np.ones((10, 3)))
+            value = score(np.ones((10, 3)))
         assert value == float("inf")
 
     def test_off_diagonal_variant(self):
         rng = np.random.default_rng(6)
         activations = rng.normal(size=(2000, 3))
-        full = M.feature_independence(activations)
-        off = M.feature_independence(activations, include_diagonal=False)
+        full = score(activations)
+        off = score(activations, include_diagonal=False)
         assert off > full  # dropping the variances shrinks the norm
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            M.feature_independence(np.ones((1, 3)))
-        with pytest.raises(ValueError):
-            M.feature_independence(np.ones((10, 1)))
+        # a covariance is a square matrix of at least 2 features
+        for cov in (np.ones((2, 3)), np.ones((1, 1)), np.ones(4), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="square covariance"):
+                M.feature_independence(cov)
 
 
 class TestModalityRelationship:

@@ -75,7 +75,8 @@ def test_batch_loss_does_not_depend_on_chunking(monkeypatch, sparse, per_vertex_
     whole = run_loss(x, y, bases, params)
     # 3-window chunks: 3, 3 and a short 1
     monkeypatch.setattr(layers, "ROW_BUDGET", 3 * v + 1)
-    assert len(layers._window_chunks(WINDOWS, v)) == 3
+    assert [rows for rows, *_ in layers._forward_chunks(x, bases, params)] == [
+        slice(0, 3), slice(3, 6), slice(6, 9)]
     loss, sq_errors, grads = run_loss(x, y, bases, params)
     assert_same(loss, whole[0], sparse)
     assert_same(sq_errors, whole[1], sparse)
@@ -102,6 +103,22 @@ def test_predictions_do_not_depend_on_chunking(monkeypatch, sparse):
         np.testing.assert_array_equal(chunked_pred, chunked)  # the same chunks
         for got, want in zip(chunked_hidden, hidden):
             assert_same(got, want, sparse)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_feature_covariances_match_np_cov(monkeypatch, sparse):
+    bases, params, x, _ = mixed_problem(sparse)
+    v = x.shape[1]
+    _, hidden = layers.network_forward_hidden(x, bases, params)
+    want = [np.stack([np.atleast_2d(np.cov(hj.reshape(-1, hj.shape[-1]), rowvar=False))
+                      for hj in h]) for h in hidden]
+    # every chunk size from one window to the whole batch
+    for budget in [c * v for c in range(1, WINDOWS + 1)]:
+        monkeypatch.setattr(layers, "ROW_BUDGET", budget)
+        got = layers.feature_covariances(x, bases, params)
+        assert [c.shape for c in got] == [w.shape for w in want]
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
 
 def test_predict_batches_rejects_no_samples():
@@ -131,6 +148,7 @@ def passes(x, y, bases, params):
         lambda: layers.batch_loss(x, y, bases, params, REG, with_grads=False),
         lambda: layers.predict_batches(samples, bases, params),
         lambda: layers.network_forward_hidden(x, bases, params),
+        lambda: layers.feature_covariances(x, bases, params),
     )
 
 
