@@ -84,7 +84,8 @@ def _resolve_run_config(path) -> dict:
         )
     network = config["network"]
     if network["basis"] not in (POWER_BASIS, CHEBYSHEV_BASIS):
-        raise ValueError(f"unknown basis {network['basis']!r}")
+        raise ValueError(f"config.network.basis must be {POWER_BASIS!r} or "
+                         f"{CHEBYSHEV_BASIS!r}, got {network['basis']!r}")
     if network["cheb_degree"] < 0:
         raise ValueError("config.network.cheb_degree must be >= 0, "
                          f"got {network['cheb_degree']!r}")
@@ -127,6 +128,7 @@ def _build_net_config(config: dict, vertex_count: int) -> L.NetworkConfig:
         layer_specs=specs,
         per_vertex_bias=net["per_vertex_bias"],
         vertex_count=vertex_count,
+        basis=net["basis"],
     )
 
 
@@ -181,8 +183,7 @@ def _cmd_train(config_path, out_dir) -> int:
     splits = _split_samples(dataset)
     net_config = _build_net_config(config, dataset.series.vertex_count)
     train_cfg = _train_config(config)
-    result = T.train(splits, dataset.graphs, net_config, train_cfg,
-                     config["network"]["basis"])
+    result = T.train(splits, dataset.graphs, net_config, train_cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "run.json", config)
@@ -209,9 +210,8 @@ def _load_run(config_path, out_dir):
         if recorded is not None and recorded != actual:
             raise ValueError(f"{Path(out_dir) / 'checkpoint.json'}.net_config.{field} is "
                              f"{recorded}, but the dataset has {actual} {unit}")
-    bases = graph_bases(
-        dataset.graphs, state.params.config.cheb_degree, config["network"]["basis"]
-    )
+    # the basis kind and degree are the checkpoint's, whatever the config says
+    bases = graph_bases(dataset.graphs, net.cheb_degree, net.basis)
     return config, dataset, state, bases
 
 

@@ -343,9 +343,11 @@ def load_dataset(manifest_path) -> Dataset:
 
 def _checked_splits(splits, total: int, manifest_path: Path) -> dict:
     """The manifest's train/val/test target-index ranges, each a pair of
-    integers with 0 <= lo <= hi <= ``total``."""
+    integers with 0 <= lo <= hi <= ``total``, in that order and disjoint."""
     for name, bounds in splits.items():
         if not (len(bounds) == 2 and 0 <= bounds[0] <= bounds[1] <= total):
             raise ValueError(f"{manifest_path}.splits.{name} must be a pair of integers "
                              f"[lo, hi] with 0 <= lo <= hi <= {total}, got {bounds!r}")
+    # splitting no samples makes split_dataset's order check, at load
+    prefixed(f"{manifest_path}.splits: ", split_dataset, [], *splits.values())
     return splits

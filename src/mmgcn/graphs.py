@@ -122,10 +122,10 @@ class LaplacianBasis:
     V^2 / ``SPARSE_FILL`` nonzeros is held as CSR (``sparse``); otherwise a
     ``low_rank`` form with V >= ``LOW_RANK_RATIO`` * P is kept instead
     (``factored``).  Either is applied by its recursion, K products with
-    B_1.  Anything else holds the terms as the dense row stack
-    ``[B_1; ...; B_K]`` (K*V x V) and column stack ``[B_1 ... B_K]``
-    (V x K*V), so one matrix product reaches every degree; each dense term is
-    symmetrized as it is built, so the column stack is exactly the row
+    B_1.  Anything else spreads the identity through that same recursion,
+    with the dense step, and holds the terms once as the row stack
+    ``[B_1; ...; B_K]`` (K*V x V), each term set to (B_a + B_a^T) / 2, so one
+    matrix product reaches every degree and :meth:`gather` multiplies by the
     stack's transpose.  Every array is read-only.
     """
 
@@ -137,7 +137,6 @@ class LaplacianBasis:
     factored: bool = field(init=False)
     _csr: object = field(init=False, repr=False, compare=False)
     _row_stack: np.ndarray = field(init=False, repr=False, compare=False)
-    _col_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.degree < 0:
@@ -155,31 +154,43 @@ class LaplacianBasis:
         sparse = bool(np.count_nonzero(step) * SPARSE_FILL <= n * n)
         factored = (not sparse and low_rank is not None
                     and n >= LOW_RANK_RATIO * low_rank[1].shape[1])
-        csr = row_stack = col_stack = None
+        csr = None
         if sparse:
             from scipy.sparse import csr_array  # imported only by a city with sparse graphs
 
             csr = csr_array(step)
-        elif not factored:
-            terms = _polynomial_terms(step, self.degree, self.kind)
-            row_stack = terms.reshape(self.degree * n, n)
-            col_stack = terms.transpose(1, 0, 2).reshape(n, self.degree * n)
-            for arr in (terms, row_stack, col_stack):
-                arr.setflags(write=False)
+        dense = not (sparse or factored)
+        row_stack = np.empty((self.degree * n, n)) if dense else None
         for name, value in (("step", step), ("low_rank", low_rank), ("sparse", sparse),
-                            ("factored", factored), ("_csr", csr), ("_row_stack", row_stack),
-                            ("_col_stack", col_stack)):
+                            ("factored", factored), ("_csr", csr), ("_row_stack", row_stack)):
             object.__setattr__(self, name, value)
+        if dense:
+            for a, term in enumerate(self._terms(np.eye(n))):
+                np.divide(term + term.T, 2.0, out=term)  # before the next term uses it
+                row_stack[a * n : (a + 1) * n] = term
+            row_stack.setflags(write=False)
 
     def _apply_step(self, x: np.ndarray) -> np.ndarray:
-        """B_1 x for a (V, n) matrix x, as a new array: one CSR product, or
-        d * x - Y (Y^T x) for a factored basis."""
-        if self.sparse:
-            return self._csr @ x
+        """B_1 x for a (V, n) matrix x, as a new array: one dense or CSR
+        product, or d * x - Y (Y^T x) for a factored basis."""
+        if not self.factored:
+            return (self._csr if self.sparse else self.step) @ x
         diagonal, factor = self.low_rank
         out = diagonal[:, None] * x
         out -= factor @ (factor.T @ x)
         return out
+
+    def _terms(self, x: np.ndarray):
+        """Yield B_a x for a = 1 .. K, each a new (V, n) array, by the power or
+        Chebyshev recursion, which reads each term as the caller leaves it."""
+        prev, cur = None, x
+        for _ in range(self.degree):
+            nxt = self._apply_step(cur)
+            if prev is not None and self.kind == CHEBYSHEV_BASIS:
+                nxt *= 2.0
+                nxt -= prev
+            yield nxt
+            prev, cur = cur, nxt
 
     def spread(self, x: np.ndarray, out: np.ndarray) -> None:
         """Write every B_a x into the degree-minor ``out`` (V, B, K+1, f), for
@@ -190,14 +201,8 @@ class LaplacianBasis:
             terms = (self._row_stack @ x.reshape(v, b * f)).reshape(-1, v, b, f)
             out[:, :, 1:] = terms.transpose(1, 2, 0, 3)
             return
-        prev, cur = None, x.reshape(v, b * f)
-        for a in range(1, self.degree + 1):
-            nxt = self._apply_step(cur)
-            if prev is not None and self.kind == CHEBYSHEV_BASIS:
-                nxt *= 2.0
-                nxt -= prev
-            out[:, :, a] = nxt.reshape(v, b, f)
-            prev, cur = cur, nxt
+        for a, term in enumerate(self._terms(x.reshape(v, b * f)), start=1):
+            out[:, :, a] = term.reshape(v, b, f)
 
     def gather(self, y: np.ndarray) -> np.ndarray:
         """sum_a B_a y[:, :, a] over the degree-minor y (V, B, K+1, f); returns
@@ -206,7 +211,7 @@ class LaplacianBasis:
         if self._row_stack is not None:
             rows = np.ascontiguousarray(y[:, :, 1:].transpose(2, 0, 1, 3)).reshape(
                 (kp1 - 1) * v, b * f)
-            out = (self._col_stack @ rows).reshape(v, b, f)
+            out = (self._row_stack.T @ rows).reshape(v, b, f)
             out += y[:, :, 0]
             return out.reshape(v * b, f)
         # Horner's rule (power) or Clenshaw's recurrence (Chebyshev), reading
@@ -233,23 +238,6 @@ def _read_only_low_rank(low_rank, n: int) -> tuple:
     for arr in (diagonal, factor):
         arr.setflags(write=False)
     return diagonal, factor
-
-
-def _polynomial_terms(step: np.ndarray, degree: int, kind: str) -> np.ndarray:
-    """[B_1 .. B_K] as one dense (K, V, V) array.  Each product is set to
-    (B_a + B_a^T) / 2 before the next term uses it, so every term is exactly
-    its own transpose rather than symmetric up to rounding."""
-    n = step.shape[0]
-    terms = np.empty((degree, n, n))
-    for a in range(degree):
-        if a == 0:
-            term = step
-        elif kind == POWER_BASIS:
-            term = terms[a - 1] @ step
-        else:
-            term = 2.0 * step @ terms[a - 1] - (terms[a - 2] if a > 1 else np.eye(n))
-        terms[a] = (term + term.T) / 2.0
-    return terms
 
 
 def build_neighborhood(grid_rows: int, grid_cols: int) -> RelationGraph:

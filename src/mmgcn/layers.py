@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import CHEBYSHEV_BASIS, POWER_BASIS
 from .regularization import CovarianceSet, RegularizerConfig, group_lasso, tensor_normal_loss
 
 GGCN = "ggcn"
@@ -60,19 +61,22 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Layer stack layout plus the shared modality count and polynomial degree."""
+    """Layer stack layout plus the shared modality count, degree and basis kind."""
 
     modalities: int
     cheb_degree: int
     layer_specs: tuple
     per_vertex_bias: bool = False
     vertex_count: int | None = None
+    basis: str = POWER_BASIS
 
     def __post_init__(self):
         if self.modalities < 1:
             raise ValueError("at least one modality is required")
         if self.cheb_degree < 0:
             raise ValueError("polynomial degree must be >= 0")
+        if self.basis not in (POWER_BASIS, CHEBYSHEV_BASIS):
+            raise ValueError(f"unknown basis kind {self.basis!r}")
         if not self.layer_specs:
             raise ValueError("network needs at least one layer")
         for prev, nxt in zip(self.layer_specs, self.layer_specs[1:]):

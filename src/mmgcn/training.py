@@ -13,13 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from . import layers as L
-from .graphs import POWER_BASIS, graph_bases
-from .jsonio import checked, read_json
+from .graphs import graph_bases
+from .jsonio import checked, prefixed, read_json
 from .metrics import rmse, stack_targets
 from .numerics import MODE_NAMES, NumericalFailure
 from .regularization import CovarianceSet, RegularizerConfig, flip_flop_update, normalize_trace
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -152,8 +152,7 @@ def evaluate_rmse(samples, bases, params: L.NetworkParams) -> float:
     return rmse(predictions, stack_targets(samples))
 
 
-def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig,
-          basis_kind: str = POWER_BASIS) -> TrainResult:
+def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig) -> TrainResult:
     """Mini-batch loop: seeded shuffle per epoch, Adam on the total objective,
     covariance re-estimation whenever ``state.step`` is a multiple of
     ``cov_update_every``, and early stopping that returns the state of the
@@ -166,7 +165,7 @@ def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig,
     train_samples, val_samples = dataset_splits["train"], dataset_splits["val"]
     if not train_samples or not val_samples:
         raise ValueError("train and validation splits must be nonempty")
-    bases = graph_bases(graphs, net_config.cheb_degree, basis_kind)
+    bases = graph_bases(graphs, net_config.cheb_degree, net_config.basis)
     params = L.init_network_params(net_config, cfg.seed, cfg.reg.frozen_modes)
     state = init_train_state(params, cfg.seed)
     history = []
@@ -330,6 +329,7 @@ _CHECKPOINT_SCHEMA = {
         "cheb_degree": int,
         "per_vertex_bias": False,
         "vertex_count": (int, None),
+        "basis": str,
         "layers": [{"kind": str, "in_dim": int, "out_dim": int, "activation": str}],
     },
     "frozen_modes": [str],
@@ -350,20 +350,24 @@ _CHECKPOINT_SCHEMA = {
 
 
 def load_checkpoint(out_dir) -> TrainState:
-    """Restore a checkpoint; a manifest that is not valid JSON, a missing,
-    unknown or wrongly typed manifest field, a blob or index that does not
-    match the network it describes, or a frozen covariance mode that is not
-    exactly ``I`` raises ``ValueError`` naming the file, field, tensor or
-    mode."""
+    """Restore a checkpoint; a manifest that is not valid JSON or of another
+    version (checked first: an older one may lack fields), a wrongly typed,
+    missing or unknown field or a value the network rejects, a blob or index
+    that does not match the network, or a frozen covariance mode that is not
+    exactly ``I`` raises ``ValueError`` naming the file, field, tensor or mode."""
     out = Path(out_dir)
     path = out / "checkpoint.json"
-    manifest = checked(read_json(path), _CHECKPOINT_SCHEMA, str(path))
-    if manifest["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {manifest['version']}")
+    document = read_json(path)
+    version = document.get("version") if isinstance(document, dict) else None
+    if type(version) is int and version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}.version is {version}; this program reads {CHECKPOINT_VERSION}")
+    manifest = checked(document, _CHECKPOINT_SCHEMA, str(path))
     net_config = dict(manifest["net_config"])
-    net_config["layer_specs"] = tuple(L.LayerSpec(**spec) for spec in net_config.pop("layers"))
-    params = L.init_network_params(L.NetworkConfig(**net_config), seed=0,
-                                   frozen_modes=manifest["frozen_modes"])
+    specs = net_config.pop("layers")
+    config = prefixed(f"{path}.net_config: ", lambda: L.NetworkConfig(
+        layer_specs=tuple(L.LayerSpec(**spec) for spec in specs), **net_config))
+    params = prefixed(f"{path}.frozen_modes: ", L.init_network_params, config, seed=0,
+                      frozen_modes=manifest["frozen_modes"])
     state = init_train_state(params, seed=0)
     tensors = _checkpoint_tensors(state)
     blob = (out / "checkpoint.bin").read_bytes()

@@ -8,8 +8,9 @@ import pytest
 
 from mmgcn import layers
 from mmgcn.cli import dispatch
-from mmgcn.data import SynthConfig
-from mmgcn.layers import feature_covariances, init_network_params
+from mmgcn.data import SynthConfig, load_dataset, window_at
+from mmgcn.graphs import graph_bases
+from mmgcn.layers import feature_covariances, init_network_params, network_forward
 from mmgcn.regularization import RegularizerConfig
 from mmgcn.training import TrainConfig, init_train_state, load_checkpoint, save_checkpoint
 
@@ -352,6 +353,8 @@ NEGATIVE_GRIDS = {"grid_rows": {"grid_rows": -4, "grid_cols": -4},
     *((command, {"manifest": f"{field}.json"}, f"{field}.json.{field}")
       for command in ("train", "evaluate", "predict", "analyze")
       for field in NEGATIVE_GRIDS),
+    *((command, {"manifest": "nope.json", "network": {"basis": "fourier"}},
+       "config.network.basis") for command in ("train", "evaluate", "predict", "analyze")),
 ])
 def test_config_range_checked_before_any_file(tmp_path, capsys, command, payload, field):
     # the manifest does not exist either: the range check comes first; a
@@ -395,8 +398,16 @@ def city3x3(tmp_path_factory):
     (lambda manifest: {**manifest, "grid_rows": "3"}, "grid_rows must be an integer, got '3'"),
     (lambda manifest: {**manifest, "vertex_count": True},
      "vertex_count must be an integer, got True"),
+    (lambda manifest: {**manifest, "splits": {**manifest["splits"], "val": [900, 1100]}},
+     "{manifest}.splits: ranges overlap or are out of order: "
+     "[(336, 672), (900, 1100), (1008, 1344)]"),
+    (lambda manifest: {**manifest, "splits": {**manifest["splits"], "train": [672, 1008],
+                                              "val": [336, 672]}},
+     "{manifest}.splits: ranges overlap or are out of order: "
+     "[(672, 1008), (336, 672), (1008, 1344)]"),
 ], ids=["not-an-object", "val-missing", "val-string", "test-past-end", "demand-csv-number",
-        "vertex-count-float", "interval-float", "grid-rows-string", "vertex-count-bool"])
+        "vertex-count-float", "interval-float", "grid-rows-string", "vertex-count-bool",
+        "splits-overlap", "splits-out-of-order"])
 def test_malformed_manifest_exits_2(city3x3, tmp_path, capsys, edit, message):
     manifest = json.loads((city3x3 / "manifest.json").read_text())
     edited = write_json(city3x3 / f"{tmp_path.name}.json", edit(manifest))
@@ -462,8 +473,21 @@ def _set(path, value):
      "checkpoint.json.scalars.best_epoch must be an integer, got 1.5"),
     (_set(["scalars", "best_val_rmse"], float("nan")),
      "checkpoint.json.scalars.best_val_rmse must be a finite number or null, got nan"),
+    (_set(["net_config", "layers", 0, "kind"], "foo"),
+     "checkpoint.json.net_config: unknown layer kind 'foo'"),
+    (_set(["net_config", "cheb_degree"], -1),
+     "checkpoint.json.net_config: polynomial degree must be >= 0"),
+    (_set(["net_config", "basis"], "fourier"),
+     "checkpoint.json.net_config: unknown basis kind 'fourier'"),
+    (_set(["frozen_modes"], ["X"]), "checkpoint.json.frozen_modes: unknown covariance mode 'X'"),
+    # a version-1 file records no basis kind; it is named by its version, not
+    # read as a power basis
+    (lambda manifest: _set(["version"], 1)({**manifest, "net_config": {
+        k: v for k, v in manifest["net_config"].items() if k != "basis"}}),
+     "checkpoint.json.version is 1; this program reads 2"),
 ], ids=["not-an-object", "index-entry-list", "in-dim-string", "step-string",
-        "best-epoch-float", "best-val-rmse-nan"])
+        "best-epoch-float", "best-val-rmse-nan", "layer-kind", "degree-negative",
+        "basis-unknown", "frozen-mode-unknown", "version-1"])
 def test_malformed_checkpoint_exits_2_naming_field(run3x3, tmp_path, capsys, edit, message):
     config, run = run3x3
     copied = tmp_path / "run"
@@ -494,6 +518,36 @@ def test_checkpoint_must_fit_dataset(run3x3, tmp_path, capsys, change, field):
         else:
             assert code == 2
             assert f"{copied}/checkpoint.json.net_config.{field} is" in capsys.readouterr().err
+
+
+def test_checkpoint_decides_the_basis(city3x3, tmp_path):
+    # evaluate and predict take the basis kind from the checkpoint, so a
+    # config that omits it still reads a Chebyshev run as Chebyshev
+    manifest = str(city3x3 / "manifest.json")
+    network = {"output_dims": [4, 1], "cheb_degree": 2}
+    trained = write_json(tmp_path / "trained.json", {
+        "manifest": manifest, "network": {**network, "basis": "chebyshev"},
+        "train": {"max_epochs": 2}})
+    run = tmp_path / "run"
+    assert dispatch(["train", "--config", str(trained), "--out", str(run)]) == 0
+    checkpoint = json.loads((run / "checkpoint.json").read_text())
+    assert (checkpoint["version"], checkpoint["net_config"]["basis"]) == (2, "chebyshev")
+
+    plain = write_json(tmp_path / "plain.json", {"manifest": manifest, "network": network})
+    assert dispatch(["evaluate", "--config", str(plain), "--out", str(run)]) == 0
+    report = json.loads((run / "evaluation.json").read_text())
+    assert report["val_rmse"] == report["recorded_best_val_rmse"]
+
+    assert dispatch(["predict", "--config", str(plain), "--out", str(run),
+                     "--index", "700"]) == 0
+    written = np.loadtxt(run / "prediction_700.csv", delimiter=",")
+    dataset = load_dataset(manifest)
+    params = load_checkpoint(run).params
+    window = window_at(dataset.series, 700).input
+    chebyshev, power = (network_forward(window, graph_bases(dataset.graphs, 2, kind), params)
+                        for kind in ("chebyshev", "power"))
+    np.testing.assert_allclose(written, chebyshev[:, 0], rtol=1e-8, atol=0.0)
+    assert not np.allclose(written, power[:, 0], rtol=1e-8, atol=0.0)
 
 
 def test_invalid_json_names_the_file(run3x3, tmp_path, capsys):

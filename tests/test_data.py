@@ -193,9 +193,10 @@ class TestRoundTrip:
             interval_minutes=data.draw(st.sampled_from([60, 120, 240]), label="interval"),
         )
         ds = D.generate_synthetic(cfg)
+        # ordered, disjoint ranges, with any gaps between them
         bound = st.integers(0, ds.series.values.shape[1])
-        splits = {name: sorted(data.draw(st.lists(bound, min_size=2, max_size=2), label=name))
-                  for name in D.SPLIT_NAMES}
+        cuts = sorted(data.draw(st.lists(bound, min_size=6, max_size=6), label="cuts"))
+        splits = {name: cuts[2 * i : 2 * i + 2] for i, name in enumerate(D.SPLIT_NAMES)}
         first = tmp_path_factory.mktemp("written")
         manifest = D.save_dataset(ds, first, splits)
         document = read_json(manifest)

@@ -290,8 +290,9 @@ class TestBasisRepresentation:
     @pytest.mark.parametrize("kind", [POWER_BASIS, CHEBYSHEV_BASIS])
     @pytest.mark.parametrize("side", [6, 16])
     def test_applied_terms_are_their_own_transpose(self, side, kind):
-        # Dense terms are symmetrized as they are built, so each is exactly
-        # its own transpose, and the backward pass may apply B_a for B_a^T.
+        # Dense terms are symmetrized once the recursion has built them, so
+        # each is exactly its own transpose, and the backward pass may apply
+        # B_a for B_a^T.
         # The CSR and factored recursions apply B_1 to every column a times,
         # which is symmetric to rounding only: at most 8 ulps of the term's
         # largest entry on these cities at K = 4.

@@ -35,9 +35,9 @@ def tiny_dataset(weeks=2, grid=4, seed=5, drift=0.0, noise=0.0, train_fraction=0
     return ds, {"train": samples[:cut], "val": samples[cut:], "test": []}
 
 
-def small_net(kinds=("ggcn", "mrgcn"), dims=(8, 1), degree=2):
+def small_net(kinds=("ggcn", "mrgcn"), dims=(8, 1), degree=2, basis="power"):
     specs = L.make_layer_specs(list(kinds), 5, list(dims))
-    return L.NetworkConfig(3, degree, specs)
+    return L.NetworkConfig(3, degree, specs, basis=basis)
 
 
 class TestTotalLoss:
@@ -345,8 +345,8 @@ class TestTrain:
     def test_chebyshev_basis_trains_deterministically(self):
         ds, splits = tiny_dataset()
         cfg = T.TrainConfig(learning_rate=1e-2, max_epochs=2, seed=4)
-        a = T.train(splits, ds.graphs, small_net(), cfg, basis_kind="chebyshev")
-        b = T.train(splits, ds.graphs, small_net(), cfg, basis_kind="chebyshev")
+        a = T.train(splits, ds.graphs, small_net(basis="chebyshev"), cfg)
+        b = T.train(splits, ds.graphs, small_net(basis="chebyshev"), cfg)
         assert a.history == b.history
         power = T.train(splits, ds.graphs, small_net(), cfg)
         assert a.history != power.history
@@ -544,6 +544,7 @@ class TestCheckpoint:
             L.make_layer_specs(kinds, 5, widths),
             per_vertex_bias,
             vertices if per_vertex_bias else data.draw(st.sampled_from([None, vertices])),
+            data.draw(st.sampled_from(["power", "chebyshev"]), label="basis"),
         )
         frozen = data.draw(st.lists(st.sampled_from(MODE_NAMES), unique=True), label="frozen")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
