@@ -52,22 +52,22 @@ def _field_defaults(cls, skip=()) -> dict:
             for f in fields(cls) if f.name not in skip}
 
 
-# ``train.reg`` is RegularizerConfig's own section.  ``network.layer_kinds``
-# and ``train.reg.frozen_modes`` are derived from the variant, which overwrites
-# any given value, so a previously written run.json can be fed back in
+# ``network``, ``train`` and ``train.reg`` take their defaults from the
+# dataclasses.  ``network.layer_kinds`` and ``train.reg.frozen_modes`` are
+# derived from the variant: an omitted one takes the variant's value and a
+# given one must equal it, so a previously written run.json can be fed back in
 _RUN_DEFAULTS = {
     "manifest": str,
     "variant": "GGCN_plus_MRGCN_2S",
     "network": {
-        "output_dims": [32, 64, 32, 1],
+        **_field_defaults(L.NetworkConfig, skip=("modalities", "layer_specs", "vertex_count")),
         "cheb_degree": 4,
-        "basis": POWER_BASIS,
-        "per_vertex_bias": False,
-        "layer_kinds": (list, []),
+        "output_dims": [32, 64, 32, 1],
+        "layer_kinds": (list, None),
     },
     "train": {
         **_field_defaults(T.TrainConfig, skip=("reg",)),
-        "reg": {**_field_defaults(RegularizerConfig), "frozen_modes": (list, [])},
+        "reg": {**_field_defaults(RegularizerConfig), "frozen_modes": (list, None)},
     },
     "analysis": {"edge_threshold": 0.0, "include_diagonal": True, "max_samples": 256},
 }
@@ -106,30 +106,27 @@ def _resolve_run_config(path) -> dict:
     config["manifest"] = str(manifest)
     variant = VARIANTS[config["variant"]]
     reg = config["train"]["reg"]
-    reg["frozen_modes"] = list(variant["frozen"])
     if not variant["use_group_lasso"]:
         reg["alpha_low"] = 0.0
     if not variant["use_tensor_normal"]:
         reg["alpha_high"] = 0.0
     lower = len(dims) // 2
-    network["layer_kinds"] = [
-        variant["lower"] if i < lower else variant["higher"] for i in range(len(dims))
-    ]
+    kinds = [variant["lower"] if i < lower else variant["higher"] for i in range(len(dims))]
+    for path, section, name, derived in (("network", network, "layer_kinds", kinds),
+                                         ("train.reg", reg, "frozen_modes", variant["frozen"])):
+        if section[name] is None:
+            section[name] = list(derived)
+        elif section[name] != derived:
+            raise ValueError(f"config.{path}.{name} is {section[name]!r}, but variant "
+                             f"{config['variant']} gives {derived!r}")
     _train_config(config)  # range checks, before any command touches a file
     return config
 
 
 def _build_net_config(config: dict, vertex_count: int) -> L.NetworkConfig:
-    net = config["network"]
-    specs = L.make_layer_specs(net["layer_kinds"], WINDOW_LENGTH, net["output_dims"])
-    return L.NetworkConfig(
-        modalities=3,
-        cheb_degree=net["cheb_degree"],
-        layer_specs=specs,
-        per_vertex_bias=net["per_vertex_bias"],
-        vertex_count=vertex_count,
-        basis=net["basis"],
-    )
+    net = dict(config["network"])
+    specs = L.make_layer_specs(net.pop("layer_kinds"), WINDOW_LENGTH, net.pop("output_dims"))
+    return L.NetworkConfig(modalities=3, layer_specs=specs, vertex_count=vertex_count, **net)
 
 
 def _train_config(config: dict) -> T.TrainConfig:
@@ -189,7 +186,7 @@ def _cmd_train(config_path, out_dir) -> int:
     _write_json(out / "run.json", config)
     _write_csv(out / "history.csv", ("epoch", "train_rmse", "val_rmse"),
                [(row.epoch, row.train_rmse, row.val_rmse) for row in result.history])
-    T.save_checkpoint(out, result.state, train_cfg.reg.frozen_modes)
+    T.save_checkpoint(out, result.state)
     print(
         f"trained {config['variant']} for {len(result.history)} epochs; "
         f"best val RMSE {result.state.best_val_rmse:.6f} at epoch {result.state.best_epoch}"

@@ -324,7 +324,6 @@ def load_dataset(manifest_path) -> Dataset:
     demand = _read_matrix(demand_path)
     if demand.shape[0] != n:
         raise ValueError(f"{demand_path}: expected {n} rows, got {demand.shape[0]}")
-    splits = _checked_splits(manifest["splits"], demand.shape[1], manifest_path)
     series = prefixed(f"{demand_path}: ", DemandSeries, demand, manifest["interval_minutes"])
 
     poi_path = base / manifest["poi_csv"]
@@ -338,16 +337,22 @@ def load_dataset(manifest_path) -> Dataset:
     graphs = [neighborhood, prefixed(f"{poi_path}: ", build_poi_similarity, poi),
               prefixed(f"{road_path}: ", build_road_connectivity, road, neighborhood)]
     return Dataset(graphs, series, poi, road, manifest["grid_rows"], manifest["grid_cols"],
-                   splits)
+                   _checked_splits(manifest["splits"], series, manifest_path))
 
 
-def _checked_splits(splits, total: int, manifest_path: Path) -> dict:
+def _checked_splits(splits, series: DemandSeries, manifest_path: Path) -> dict:
     """The manifest's train/val/test target-index ranges, each a pair of
-    integers with 0 <= lo <= hi <= ``total``, in that order and disjoint."""
+    integers with 0 <= lo <= hi <= T, in that order and disjoint; train and
+    val must each hold a target with a week of history (an empty test split
+    is allowed)."""
+    week, total = series.week_intervals, series.values.shape[1]
     for name, bounds in splits.items():
         if not (len(bounds) == 2 and 0 <= bounds[0] <= bounds[1] <= total):
             raise ValueError(f"{manifest_path}.splits.{name} must be a pair of integers "
                              f"[lo, hi] with 0 <= lo <= hi <= {total}, got {bounds!r}")
+        if name != "test" and max(bounds[0], week) >= bounds[1]:
+            raise ValueError(f"{manifest_path}.splits.{name} must hold a target index in "
+                             f"[{week}, {total}), which has a week of history; got {bounds!r}")
     # splitting no samples makes split_dataset's order check, at load
     prefixed(f"{manifest_path}.splits: ", split_dataset, [], *splits.values())
     return splits

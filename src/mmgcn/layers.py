@@ -104,29 +104,18 @@ def make_layer_specs(kinds, input_dim: int, output_dims) -> tuple:
 
 
 @dataclass
-class GgcnLayerParams:
-    """Cross-modality weights (M, M, K+1, f1, f2): block (i, j) maps source
-    modality i to target modality j.  Biases broadcast per feature unless the
-    per-vertex flag reshapes them to (M, V, f2)."""
+class LayerParams:
+    """One layer's weights and biases; gradients have the same shape and no
+    covariances.  GGCN weights are cross-modality, (M, M, K+1, f1, f2): block
+    (i, j) maps source modality i to target modality j.  MRGCN weights are
+    intra-modality, one joint tensor (f1, f2, K+1, M), and ``covariances``
+    holds the per-mode covariances of its tensor-normal prior.  Biases
+    broadcast per feature unless the per-vertex flag reshapes them to
+    (M, V, f2)."""
 
     weights: np.ndarray
     biases: np.ndarray
-
-
-@dataclass
-class MrgcnLayerParams:
-    """Intra-modality weights as one joint tensor (f1, f2, K+1, M), plus the
-    per-mode covariances of its tensor-normal prior."""
-
-    weights: np.ndarray
-    biases: np.ndarray
-    covariances: CovarianceSet
-
-
-@dataclass
-class LayerGrads:
-    weights: np.ndarray
-    biases: np.ndarray
+    covariances: CovarianceSet | None = None
 
 
 @dataclass
@@ -151,15 +140,11 @@ def init_network_params(
             biases = np.zeros((m, config.vertex_count, spec.out_dim))
         else:
             biases = np.zeros((m, spec.out_dim))
-        if spec.kind == GGCN:
-            weights = _kernel_layout(
-                rng.uniform(-bound, bound, (m, m, kp1, spec.in_dim, spec.out_dim)))
-            layers.append(GgcnLayerParams(weights, biases))
-        else:
-            weights = _kernel_layout(
-                rng.uniform(-bound, bound, (spec.in_dim, spec.out_dim, kp1, m)))
-            cov = CovarianceSet.identity((spec.in_dim, spec.out_dim, kp1, m), frozen_modes)
-            layers.append(MrgcnLayerParams(weights, biases, cov))
+        shape = ((m, m, kp1, spec.in_dim, spec.out_dim) if spec.kind == GGCN
+                 else (spec.in_dim, spec.out_dim, kp1, m))
+        weights = _kernel_layout(rng.uniform(-bound, bound, shape))
+        cov = None if spec.kind == GGCN else CovarianceSet.identity(shape, frozen_modes)
+        layers.append(LayerParams(weights, biases, cov))
     return NetworkParams(config, layers)
 
 
@@ -238,14 +223,15 @@ def _bias_grad(dz: np.ndarray, biases: np.ndarray) -> np.ndarray:
     return dz.sum(axis=(1, 2)) if biases.ndim == 2 else dz.sum(axis=2)
 
 
-def _layer_forward(h, bases, layer, activation: str, keep_cache: bool):
-    """One layer on vertex-major h (M, V, B, f1); returns its (M, V, B, f2)
-    output and, if ``keep_cache``, what the backward pass needs: the
-    operand (the propagated input (V, B, M, K+1, f1), or the input itself),
-    the per-source weight matrices and the ReLU mask."""
+def _layer_forward(h, bases, layer: LayerParams, kind: str, activation: str, keep_cache: bool):
+    """One layer of ``kind`` on vertex-major h (M, V, B, f1); returns its
+    (M, V, B, f2) output and, if ``keep_cache``, what the backward pass
+    needs: the operand (the propagated input (V, B, M, K+1, f1), or the input
+    itself), the per-source weight matrices, the ReLU mask and the output
+    group count."""
     m, v, b, f1 = h.shape
     kp1, f2 = layer.weights.shape[2], layer.biases.shape[-1]
-    groups = 1 if isinstance(layer, GgcnLayerParams) else m
+    groups = 1 if kind == GGCN else m
     g = m // groups * f2
     first = _propagates_input(f1, g)
     # a view of weights stored by _kernel_layout; a copy of any other layout
@@ -269,21 +255,20 @@ def _layer_forward(h, bases, layer, activation: str, keep_cache: bool):
     mask = z > 0.0 if activation == RELU and keep_cache else None
     if activation == RELU:
         np.maximum(z, 0.0, out=z)
-    return z, ((operand, w, mask) if keep_cache else None)
+    return z, ((operand, w, mask, groups) if keep_cache else None)
 
 
-def _layer_backward(d_out, cache, bases, layer, need_dh: bool):
+def _layer_backward(d_out, cache, bases, layer: LayerParams, need_dh: bool):
     """Backward of :func:`_layer_forward`: the (M, V, B, f1) input gradient,
     or None unless ``need_dh``, and the layer's parameter gradients.  A
     writeable ``d_out`` belongs to the backward pass and takes the ReLU mask
     in place."""
-    operand, w, mask = cache
+    operand, w, mask, groups = cache
     if mask is not None:
         d_out = np.multiply(d_out, mask, out=d_out if d_out.flags.writeable else None)
     d_biases = _bias_grad(d_out, layer.biases)
     m, v, b, f2 = d_out.shape
     kp1, f1 = layer.weights.shape[2], operand.shape[-1]
-    groups = 1 if isinstance(layer, GgcnLayerParams) else m
     g = m // groups * f2
     first = _propagates_input(f1, g)
     dz = np.ascontiguousarray(
@@ -304,7 +289,7 @@ def _layer_backward(d_out, cache, bases, layer, need_dh: bool):
             np.matmul(operand[i].reshape(v * b, f1).T, dq.reshape(v * b, -1), out=d_mats[i])
             if need_dh:
                 dh[i] = (dq.reshape(v * b, -1) @ w[i].T).reshape(v, b, f1)
-    return dh, LayerGrads(_from_source_major(d_mats, layer.weights.shape), d_biases)
+    return dh, LayerParams(_from_source_major(d_mats, layer.weights.shape), d_biases)
 
 
 def _forward_batch(x_batch, bases, params: NetworkParams, keep_caches=False,
@@ -318,7 +303,7 @@ def _forward_batch(x_batch, bases, params: NetworkParams, keep_caches=False,
     caches = []
     hidden = []
     for spec, layer in zip(params.config.layer_specs, params.layers):
-        h, cache = _layer_forward(h, bases, layer, spec.activation, keep_caches)
+        h, cache = _layer_forward(h, bases, layer, spec.kind, spec.activation, keep_caches)
         if keep_caches:
             caches.append(cache)
         if keep_hidden:
@@ -419,28 +404,29 @@ def predict_batches(samples, bases, params: NetworkParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # single-sample operations
 
-def _single_window_layer(xs, bases, layer, activation: str, count: int):
+def _single_window_layer(xs, bases, layer: LayerParams, kind: str, activation: str):
+    count = layer.biases.shape[0]
     if len(xs) != count or len(bases) != count:
         raise ValueError(
             f"expected {count} modalities, got {len(xs)} inputs and {len(bases)} bases"
         )
     h = np.stack([np.asarray(x, dtype=float) for x in xs])[:, :, None, :]  # batch of 1
-    out, _ = _layer_forward(h, bases, layer, activation, keep_cache=False)
+    out, _ = _layer_forward(h, bases, layer, kind, activation, keep_cache=False)
     return [out[j, :, 0] for j in range(count)]
 
 
-def ggcn_forward(xs, bases, params: GgcnLayerParams, activation: str = RELU):
+def ggcn_forward(xs, bases, params: LayerParams, activation: str = RELU):
     """One cross-modality layer on per-modality signals.
 
     Modality j's output sums convolutions of every modality i's input over
     graph i, so information travels along compound connectivity.
     """
-    return _single_window_layer(xs, bases, params, activation, params.weights.shape[0])
+    return _single_window_layer(xs, bases, params, GGCN, activation)
 
 
-def mrgcn_forward(xs, bases, params: MrgcnLayerParams, activation: str = RELU):
+def mrgcn_forward(xs, bases, params: LayerParams, activation: str = RELU):
     """One intra-modality layer: modality j sees only its own graph and weights."""
-    return _single_window_layer(xs, bases, params, activation, params.weights.shape[3])
+    return _single_window_layer(xs, bases, params, MRGCN, activation)
 
 
 def network_forward(x_window: np.ndarray, bases, params: NetworkParams) -> np.ndarray:

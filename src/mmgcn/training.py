@@ -226,7 +226,7 @@ def _checkpoint_tensors(state: TrainState):
         tensors.append((f"adam_m.{name}", m))
         tensors.append((f"adam_v.{name}", v))
     for idx, layer in enumerate(state.params.layers):
-        if isinstance(layer, L.MrgcnLayerParams):
+        if layer.covariances is not None:
             for mode, sigma in enumerate(layer.covariances.sigma):
                 tensors.append((f"layer{idx}.cov.{MODE_NAMES[mode]}", sigma))
     return tensors
@@ -242,10 +242,15 @@ def _tensor_index(tensors):
     return index, offset
 
 
-def save_checkpoint(out_dir, state: TrainState, frozen_modes) -> None:
+def save_checkpoint(out_dir, state: TrainState) -> None:
     """Strict JSON manifest plus one little-endian float64 blob, canonical
-    layout; a best validation RMSE that no epoch set is written as null.
-    Neither file is overwritten until both are fully written."""
+    layout; the frozen modes are those of the network's covariance sets (none
+    without one), and a best validation RMSE that no epoch set is written as
+    null.  Neither file is overwritten until both are fully written."""
+    frozen = {layer.covariances.frozen for layer in state.params.layers
+              if layer.covariances is not None}
+    if len(frozen) > 1:
+        raise ValueError("the network's covariance sets freeze different modes")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tensors = _checkpoint_tensors(state)
@@ -254,7 +259,7 @@ def save_checkpoint(out_dir, state: TrainState, frozen_modes) -> None:
     manifest = {
         "version": CHECKPOINT_VERSION,
         "net_config": net_config,
-        "frozen_modes": list(frozen_modes),
+        "frozen_modes": [name for name, f in zip(MODE_NAMES, frozen.pop() if frozen else ()) if f],
         "tensor_index": _tensor_index(tensors)[0],
         "scalars": {
             "step": state.step,
@@ -377,7 +382,7 @@ def load_checkpoint(out_dir) -> TrainState:
         start = entry["offset"] // 8
         arr[...] = values[start : start + arr.size].reshape(arr.shape)
     for idx, layer in enumerate(state.params.layers):
-        if isinstance(layer, L.MrgcnLayerParams):
+        if layer.covariances is not None:
             try:  # a frozen mode must still hold exactly the identity
                 CovarianceSet(layer.covariances.sigma, layer.covariances.frozen)
             except ValueError as exc:

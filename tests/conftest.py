@@ -86,11 +86,11 @@ def single_layer(kind, rng_seed=0, vertices=3, modalities=2, degree=1, in_dim=5,
         weights = init.uniform(
             -bound, bound, (modalities, modalities, degree + 1, in_dim, out_dim)
         )
-        params = layers.GgcnLayerParams(weights, biases)
+        params = layers.LayerParams(weights, biases)
     else:
         weights = init.uniform(-bound, bound, (in_dim, out_dim, degree + 1, modalities))
         cov = CovarianceSet.identity((in_dim, out_dim, degree + 1, modalities))
-        params = layers.MrgcnLayerParams(weights, biases, cov)
+        params = layers.LayerParams(weights, biases, cov)
     return graph_list, bases, params
 
 
@@ -109,7 +109,7 @@ def covariance_updates(monkeypatch):
     def spy(params, reg):
         update(params, reg)
         passes.append([copy.deepcopy(layer.covariances) for layer in params.layers
-                       if isinstance(layer, layers.MrgcnLayerParams)])
+                       if layer.covariances is not None])
 
     monkeypatch.setattr(training, "_update_covariances", spy)
     return passes

@@ -116,7 +116,7 @@ def test_criterion_2_mgcn_degeneracy():
                 if i != j:
                     weights[i, j] = 0.0
         biases = rng.normal(size=(modalities, f2))
-        layer = L.GgcnLayerParams(weights, biases)
+        layer = L.LayerParams(weights, biases)
         xs = [rng.normal(size=(vertices, f1)) for _ in range(modalities)]
         outputs = L.ggcn_forward(xs, bases, layer, L.RELU)
         for j in range(modalities):

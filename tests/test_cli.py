@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mmgcn import layers
-from mmgcn.cli import dispatch
+from mmgcn.cli import VARIANTS, _resolve_run_config, dispatch
 from mmgcn.data import SynthConfig, load_dataset, window_at
 from mmgcn.graphs import graph_bases
 from mmgcn.layers import feature_covariances, init_network_params, network_forward
@@ -405,9 +405,18 @@ def city3x3(tmp_path_factory):
                                               "val": [336, 672]}},
      "{manifest}.splits: ranges overlap or are out of order: "
      "[(672, 1008), (336, 672), (1008, 1344)]"),
+    (lambda manifest: {**manifest, "splits": {**manifest["splits"], "train": [336, 336]}},
+     "{manifest}.splits.train must hold a target index in [336, 1344), which has a week "
+     "of history; got [336, 336]"),
+    (lambda manifest: {**manifest, "splits": {**manifest["splits"], "train": [0, 336]}},
+     "{manifest}.splits.train must hold a target index in [336, 1344)"),
+    (lambda manifest: {**manifest, "splits": {**manifest["splits"], "val": [1008, 1008]}},
+     "{manifest}.splits.val must hold a target index in [336, 1344), which has a week "
+     "of history; got [1008, 1008]"),
 ], ids=["not-an-object", "val-missing", "val-string", "test-past-end", "demand-csv-number",
         "vertex-count-float", "interval-float", "grid-rows-string", "vertex-count-bool",
-        "splits-overlap", "splits-out-of-order"])
+        "splits-overlap", "splits-out-of-order", "train-empty", "train-without-history",
+        "val-empty"])
 def test_malformed_manifest_exits_2(city3x3, tmp_path, capsys, edit, message):
     manifest = json.loads((city3x3 / "manifest.json").read_text())
     edited = write_json(city3x3 / f"{tmp_path.name}.json", edit(manifest))
@@ -509,8 +518,7 @@ def test_checkpoint_must_fit_dataset(run3x3, tmp_path, capsys, change, field):
     config, run = run3x3
     net = replace(load_checkpoint(run).params.config, **change)
     copied = tmp_path / "run"
-    save_checkpoint(copied, init_train_state(init_network_params(net, seed=0), seed=0),
-                    ("I", "O"))
+    save_checkpoint(copied, init_train_state(init_network_params(net, seed=0), seed=0))
     for command in (["evaluate"], ["predict", "--index", "700"]):
         code = dispatch(command + ["--config", str(config), "--out", str(copied)])
         if field is None:  # an unrecorded vertex count is not checked
@@ -588,6 +596,36 @@ def test_echoed_defaults_match_dataclasses(tmp_path):
     del expected_train["reg"]
     assert train == expected_train
     assert reg == {**asdict(RegularizerConfig()), "frozen_modes": []}
+    network = json.loads((tmp_path / "run" / "run.json").read_text())["network"]
+    specs = layers.make_layer_specs(["ggcn", "mrgcn"], 5, [2, 1])
+    expected_network = asdict(layers.NetworkConfig(3, 1, specs))
+    for name in ("modalities", "layer_specs", "vertex_count"):
+        del expected_network[name]
+    assert network == {**expected_network, "output_dims": [2, 1],
+                       "layer_kinds": ["ggcn", "mrgcn"]}
+
+
+@pytest.mark.parametrize("section,field", [
+    ({"network": {"output_dims": [2, 1], "layer_kinds": ["mrgcn", "mrgcn"]}},
+     "config.network.layer_kinds"),
+    ({"train": {"reg": {"frozen_modes": []}}}, "config.train.reg.frozen_modes"),
+], ids=["layer-kinds", "frozen-modes"])
+def test_variant_derived_field_must_match_variant(city3x3, tmp_path, capsys, section, field):
+    config = write_json(tmp_path / "run.json", {
+        "manifest": str(city3x3 / "manifest.json"), "variant": "GGCN_plus_MRGCN_2S", **section})
+    out = tmp_path / "run"
+    assert dispatch(["train", "--config", str(config), "--out", str(out)]) == 2
+    assert f"error: {field} is " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_resolved_config_reads_back_unchanged(tmp_path, variant):
+    config = write_json(tmp_path / "run.json", {
+        "manifest": "data/manifest.json", "variant": variant,
+        "network": {"output_dims": [4, 4, 1]}})
+    resolved = _resolve_run_config(config)
+    assert _resolve_run_config(write_json(tmp_path / "echoed.json", resolved)) == resolved
 
 
 def test_unknown_subcommand_exits_2():

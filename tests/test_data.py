@@ -193,9 +193,14 @@ class TestRoundTrip:
             interval_minutes=data.draw(st.sampled_from([60, 120, 240]), label="interval"),
         )
         ds = D.generate_synthetic(cfg)
-        # ordered, disjoint ranges, with any gaps between them
-        bound = st.integers(0, ds.series.values.shape[1])
-        cuts = sorted(data.draw(st.lists(bound, min_size=6, max_size=6), label="cuts"))
+        # ordered, disjoint ranges, with any gaps between them; train and val
+        # each hold a target with a week of history, train may start before
+        # it, and test may be empty
+        bound = st.integers(ds.series.week_intervals, ds.series.values.shape[1])
+        cuts = sorted(data.draw(st.lists(bound, min_size=6, max_size=6, unique=True),
+                                label="cuts"))
+        cuts[0] = data.draw(st.integers(0, cuts[0]), label="train_lo")
+        cuts[5] = data.draw(st.integers(cuts[4], cuts[5]), label="test_hi")
         splits = {name: cuts[2 * i : 2 * i + 2] for i, name in enumerate(D.SPLIT_NAMES)}
         first = tmp_path_factory.mktemp("written")
         manifest = D.save_dataset(ds, first, splits)

@@ -24,7 +24,7 @@ def originals(tmp_path_factory):
     net = L.NetworkConfig(3, 1, L.make_layer_specs([L.GGCN, L.MRGCN], 5, [2, 1]),
                           vertex_count=4)
     state = T.init_train_state(L.init_network_params(net, seed=0), seed=0)
-    T.save_checkpoint(root / "run", state, ("I", "O"))
+    T.save_checkpoint(root / "run", state)
     (root / "config.json").write_text(json.dumps({"manifest": "data/manifest.json"}))
     return root
 

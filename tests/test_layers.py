@@ -60,7 +60,7 @@ class TestGgcnForward:
         weights[1, 0] = 1.0  # modality 2 -> 1
         weights[0, 1] = 0.0
         weights[1, 1] = 1.0
-        params = layers.GgcnLayerParams(weights, np.zeros((2, 1)))
+        params = layers.LayerParams(weights, np.zeros((2, 1)))
         out = layers.ggcn_forward(
             [np.array([[2.0]]), np.array([[3.0]])], bases, params, layers.IDENTITY
         )
@@ -106,11 +106,11 @@ class TestMrgcnForward:
         m, kp1, f1, f2 = 2, 2, 5, 2
         joint = rng.normal(size=(f1, f2, kp1, m))
         biases = rng.normal(size=(m, f2))
-        mr = layers.MrgcnLayerParams(joint, biases, CovarianceSet.identity((f1, f2, kp1, m)))
+        mr = layers.LayerParams(joint, biases, CovarianceSet.identity((f1, f2, kp1, m)))
         gg_weights = np.zeros((m, m, kp1, f1, f2))
         for j in range(m):
             gg_weights[j, j] = joint[:, :, :, j].transpose(2, 0, 1)
-        gg = layers.GgcnLayerParams(gg_weights, biases)
+        gg = layers.LayerParams(gg_weights, biases)
         xs = [rng.normal(size=(3, f1)) for _ in range(m)]
         out_mr = layers.mrgcn_forward(xs, bases, mr)
         out_gg = layers.ggcn_forward(xs, bases, gg)
@@ -129,7 +129,7 @@ class TestMrgcnForward:
         g = random_graph(rng, 4)
         basis = graphs.laplacian_basis(graphs.normalized_laplacian(g), 2)
         joint = rng.normal(size=(3, 2, 3, 1))
-        layer = layers.MrgcnLayerParams(
+        layer = layers.LayerParams(
             joint, np.zeros((1, 2)), CovarianceSet.identity((3, 2, 3, 1))
         )
         x = rng.normal(size=(4, 3))
@@ -306,7 +306,7 @@ class TestSourceGraphContract:
         bases = graphs.graph_bases(graph_list, 2)
         weights = np.zeros((2, 2, 3, 3, 2))
         weights[0, 1] = rng.normal(size=(3, 3, 2))
-        layer = layers.GgcnLayerParams(weights, np.zeros((2, 2)))
+        layer = layers.LayerParams(weights, np.zeros((2, 2)))
         xs = [rng.normal(size=(4, 3)) for _ in range(2)]
         out = layers.ggcn_forward(xs, bases, layer, layers.IDENTITY)
         np.testing.assert_allclose(
@@ -392,7 +392,7 @@ class TestBatchLossPurity:
         covariances = []
         for layer in params.layers:
             layer.biases[...] = rng.normal(size=layer.biases.shape)
-            if isinstance(layer, layers.MrgcnLayerParams):
+            if layer.covariances is not None:
                 for mode in (1, 2, 3):
                     layer.covariances.replace(mode, random_spd(rng, layer.covariances.dims[mode]))
                 covariances.extend(layer.covariances.sigma)

@@ -105,7 +105,7 @@ def test_init_draws_canonical_positions():
 def test_load_checkpoint_and_train_keep_kernel_order(city, tmp_path):
     result = train_run(city)
     assert_kernel_layout(result.state.params)
-    T.save_checkpoint(tmp_path, result.state, ())
+    T.save_checkpoint(tmp_path, result.state)
     loaded = T.load_checkpoint(tmp_path)
     assert_kernel_layout(loaded.params)
     for layer, twin in zip(result.state.params.layers, loaded.params.layers):
@@ -126,12 +126,12 @@ def test_gradients_share_the_parameter_layout(city):
 
 def test_checkpoint_bytes_equal_a_c_order_copy(city, tmp_path):
     state = train_run(city).state
-    T.save_checkpoint(tmp_path / "kernel", state, ())
+    T.save_checkpoint(tmp_path / "kernel", state)
     for layer in state.params.layers:
         layer.weights = np.ascontiguousarray(layer.weights)
     state.first_moment = [np.ascontiguousarray(m) for m in state.first_moment]
     state.second_moment = [np.ascontiguousarray(v) for v in state.second_moment]
-    T.save_checkpoint(tmp_path / "c_order", state, ())
+    T.save_checkpoint(tmp_path / "c_order", state)
     for name in ("checkpoint.bin", "checkpoint.json"):
         assert (tmp_path / "kernel" / name).read_bytes() == \
             (tmp_path / "c_order" / name).read_bytes()
@@ -147,8 +147,8 @@ def test_train_bit_identical_with_c_order_weights(city, tmp_path, monkeypatch):
     for (name, got), (_, expected) in zip(L.named_param_arrays(c_order.state.params),
                                           L.named_param_arrays(default.state.params)):
         assert np.array_equal(got, expected), name
-    T.save_checkpoint(tmp_path / "default", default.state, ())
-    T.save_checkpoint(tmp_path / "c_order", c_order.state, ())
+    T.save_checkpoint(tmp_path / "default", default.state)
+    T.save_checkpoint(tmp_path / "c_order", c_order.state)
     for name in ("checkpoint.bin", "checkpoint.json"):
         assert (tmp_path / "default" / name).read_bytes() == \
             (tmp_path / "c_order" / name).read_bytes()
@@ -188,7 +188,7 @@ def test_adam_on_permuted_parameters_matches_textbook(axes, grad_shares_layout,
                                                       c_order_moments, seed):
     rng = np.random.default_rng(seed)
     weights = permuted_storage(rng.normal(size=(2, 2, 3, 4, 5)), axes)
-    layer = L.GgcnLayerParams(weights, rng.normal(size=(2, 5)))
+    layer = L.LayerParams(weights, rng.normal(size=(2, 5)))
     state = T.init_train_state(L.NetworkParams(None, [layer]), 0)
     if c_order_moments:  # moments laid out unlike their parameter
         state.first_moment[0] = np.zeros(weights.shape)
@@ -202,7 +202,7 @@ def test_adam_on_permuted_parameters_matches_textbook(axes, grad_shares_layout,
         grads = [rng.normal(size=a.shape) for a in theta]
         if grad_shares_layout:
             grads[0] = permuted_storage(grads[0], axes)
-        T.adam_step(state, [L.LayerGrads(*grads)], cfg)
+        T.adam_step(state, [L.LayerParams(*grads)], cfg)
         for k, grad in enumerate(grads):
             first[k] = cfg.adam_beta1 * first[k] + (1.0 - cfg.adam_beta1) * grad
             second[k] = cfg.adam_beta2 * second[k] + (1.0 - cfg.adam_beta2) * grad**2

@@ -15,7 +15,7 @@ from mmgcn import metrics as M
 from mmgcn import training as T
 from mmgcn.jsonio import checked, read_json
 from mmgcn.numerics import MODE_NAMES, NumericalFailure
-from mmgcn.regularization import RegularizerConfig, flip_flop_update
+from mmgcn.regularization import CovarianceSet, RegularizerConfig, flip_flop_update
 
 from conftest import (
     historical_average_rmse,
@@ -133,7 +133,7 @@ class TestAdamStep:
 
     def _zero_grads(self, params):
         return [
-            L.LayerGrads(np.zeros_like(l.weights), np.zeros_like(l.biases))
+            L.LayerParams(np.zeros_like(l.weights), np.zeros_like(l.biases))
             for l in params.layers
         ]
 
@@ -148,7 +148,7 @@ class TestAdamStep:
         state = self._state()
         rng = np.random.default_rng(1)
         grads = [
-            L.LayerGrads(rng.normal(size=l.weights.shape), rng.normal(size=l.biases.shape))
+            L.LayerParams(rng.normal(size=l.weights.shape), rng.normal(size=l.biases.shape))
             for l in state.params.layers
         ]
         cfg = T.TrainConfig(learning_rate=1e-3)
@@ -190,7 +190,7 @@ class TestAdamStep:
         second = [np.zeros_like(a) for a in theta]
         for t in range(1, 4):
             grads = [
-                L.LayerGrads(rng.normal(size=l.weights.shape), rng.normal(size=l.biases.shape))
+                L.LayerParams(rng.normal(size=l.weights.shape), rng.normal(size=l.biases.shape))
                 for l in state.params.layers
             ]
             T.adam_step(state, grads, cfg)
@@ -292,7 +292,7 @@ class TestTrain:
             cfg = T.TrainConfig(learning_rate=2e-2, max_epochs=max_epochs, patience=3,
                                 cov_update_every=3, seed=0)
             result = T.train(splits, ds.graphs, small_net(), cfg)
-            T.save_checkpoint(tmp_path / str(max_epochs), result.state, cfg.reg.frozen_modes)
+            T.save_checkpoint(tmp_path / str(max_epochs), result.state)
             states.append(result.state)
         stopped, straight = states
         assert (stopped.best_epoch, straight.best_epoch) == (15, 15)
@@ -304,7 +304,7 @@ class TestTrain:
             for a, b in zip(getattr(stopped, moments), getattr(straight, moments)):
                 np.testing.assert_array_equal(a, b)
         for a, b in zip(stopped.params.layers, straight.params.layers):
-            if isinstance(a, L.MrgcnLayerParams):
+            if a.covariances is not None:
                 for s_a, s_b in zip(a.covariances.sigma, b.covariances.sigma):
                     np.testing.assert_array_equal(s_a, s_b)
         assert stopped.rng.bit_generator.state == straight.rng.bit_generator.state
@@ -460,7 +460,7 @@ class TestCheckpoint:
         ds, splits = tiny_dataset()
         cfg = T.TrainConfig(learning_rate=1e-2, max_epochs=3, seed=2)
         result = T.train(splits, ds.graphs, small_net(), cfg)
-        T.save_checkpoint(tmp_path, result.state, cfg.reg.frozen_modes)
+        T.save_checkpoint(tmp_path, result.state)
         restored = T.load_checkpoint(tmp_path)
 
         np.testing.assert_array_equal(
@@ -474,7 +474,7 @@ class TestCheckpoint:
         assert restored.best_val_rmse == result.state.best_val_rmse
         assert restored.rng.bit_generator.state == result.state.rng.bit_generator.state
         for orig, back in zip(result.state.params.layers, restored.params.layers):
-            if isinstance(orig, L.MrgcnLayerParams):
+            if orig.covariances is not None:
                 for s_a, s_b in zip(orig.covariances.sigma, back.covariances.sigma):
                     np.testing.assert_array_equal(s_a, s_b)
 
@@ -485,7 +485,7 @@ class TestCheckpoint:
         cfg = T.TrainConfig(max_epochs=0, seed=2)
         state = T.train(splits, ds.graphs, small_net(), cfg).state
         assert state.best_val_rmse == np.inf
-        T.save_checkpoint(tmp_path, state, cfg.reg.frozen_modes)
+        T.save_checkpoint(tmp_path, state)
 
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
@@ -497,7 +497,7 @@ class TestCheckpoint:
         assert restored.best_epoch == -1
         np.testing.assert_array_equal(pack_params(restored.params), pack_params(state.params))
         copy = tmp_path / "copy"
-        T.save_checkpoint(copy, restored, cfg.reg.frozen_modes)
+        T.save_checkpoint(copy, restored)
         for name in ("checkpoint.json", "checkpoint.bin"):
             assert (copy / name).read_bytes() == (tmp_path / name).read_bytes()
 
@@ -505,7 +505,7 @@ class TestCheckpoint:
         ds, splits = tiny_dataset()
         cfg = T.TrainConfig(learning_rate=1e-2, max_epochs=1, seed=2)
         first = T.train(splits, ds.graphs, small_net(), cfg).state
-        T.save_checkpoint(tmp_path, first, cfg.reg.frozen_modes)
+        T.save_checkpoint(tmp_path, first)
         cfg.max_epochs = 2
         second = T.train(splits, ds.graphs, small_net(), cfg).state
         assert second.step != first.step
@@ -520,7 +520,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(Path, "write_bytes", fail_on_index)
         with pytest.raises(OSError, match="no space"):
-            T.save_checkpoint(tmp_path, second, cfg.reg.frozen_modes)
+            T.save_checkpoint(tmp_path, second)
         monkeypatch.undo()
 
         restored = T.load_checkpoint(tmp_path)
@@ -555,7 +555,7 @@ class TestCheckpoint:
         for arr in [*state.first_moment, *state.second_moment]:
             arr[...] = rng.normal(size=arr.shape)
         for layer in state.params.layers:
-            if isinstance(layer, L.MrgcnLayerParams):
+            if layer.covariances is not None:
                 for mode, sigma in enumerate(layer.covariances.sigma):
                     if not layer.covariances.frozen[mode]:
                         a = rng.normal(size=sigma.shape)
@@ -568,9 +568,12 @@ class TestCheckpoint:
         state.rng.integers(2**32, size=data.draw(st.integers(0, 3)), dtype=np.uint32)
 
         first = tmp_path_factory.mktemp("written")
-        T.save_checkpoint(first, state, frozen)
+        T.save_checkpoint(first, state)
         document = read_json(first / "checkpoint.json")
         assert checked(document, T._CHECKPOINT_SCHEMA, "checkpoint.json") == document
+        # the frozen modes written are those of the network's covariance sets
+        assert document["frozen_modes"] == (
+            [name for name in MODE_NAMES if name in frozen] if L.MRGCN in kinds else [])
         restored = T.load_checkpoint(first)
         np.testing.assert_array_equal(pack_params(restored.params), pack_params(state.params))
         assert restored.params.config == config
@@ -580,16 +583,48 @@ class TestCheckpoint:
             state.step, state.best_val_rmse, state.best_epoch, state.epochs_since_improvement)
         # every tensor, moments and covariances included, lands in the blob bit for bit
         second = tmp_path_factory.mktemp("rewritten")
-        T.save_checkpoint(second, restored, frozen)
+        T.save_checkpoint(second, restored)
         for name in ("checkpoint.json", "checkpoint.bin"):
             assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_frozen_modes_come_from_the_covariance_sets(self, tmp_path):
+        # a network without MRGCN layers has no covariance set: none recorded
+        state = T.init_train_state(
+            L.init_network_params(small_net(("ggcn", "ggcn")), 4, MODE_NAMES), 4)
+        T.save_checkpoint(tmp_path, state)
+        assert read_json(tmp_path / "checkpoint.json")["frozen_modes"] == []
+        restored = T.load_checkpoint(tmp_path)
+        np.testing.assert_array_equal(pack_params(restored.params), pack_params(state.params))
+        # one list cannot describe sets that freeze different modes
+        params = L.init_network_params(small_net(("mrgcn", "mrgcn", "mrgcn"), (4, 4, 1)), 4)
+        params.layers[1].covariances = CovarianceSet.identity(
+            params.layers[1].covariances.dims, ("I",))
+        with pytest.raises(ValueError, match="freeze different modes"):
+            T.save_checkpoint(tmp_path / "mixed", T.init_train_state(params, 4))
+        assert not (tmp_path / "mixed").exists()
+
+    def test_learned_input_mode_covariance_round_trips(self, tmp_path):
+        # the 4S variant freezes no mode, so the input-mode covariance is
+        # re-estimated and no longer the identity
+        ds, splits = tiny_dataset()
+        cfg = T.TrainConfig(learning_rate=1e-2, max_epochs=2, seed=2,
+                            reg=RegularizerConfig(frozen_modes=()))
+        state = T.train(splits, ds.graphs, small_net(), cfg).state
+        sigma = state.params.layers[1].covariances.sigma
+        assert not np.array_equal(sigma[0], np.eye(len(sigma[0])))
+        T.save_checkpoint(tmp_path, state)
+        assert read_json(tmp_path / "checkpoint.json")["frozen_modes"] == []
+        restored = T.load_checkpoint(tmp_path)
+        np.testing.assert_array_equal(pack_params(restored.params), pack_params(state.params))
+        for a, b in zip(restored.params.layers[1].covariances.sigma, sigma):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.fixture
     def saved(self, tmp_path):
         ds, splits = tiny_dataset()
         cfg = T.TrainConfig(learning_rate=1e-2, max_epochs=1, seed=2)
         state = T.train(splits, ds.graphs, small_net(), cfg).state
-        T.save_checkpoint(tmp_path, state, cfg.reg.frozen_modes)
+        T.save_checkpoint(tmp_path, state)
         return tmp_path
 
     def _edit_index(self, out_dir, edit):
@@ -685,7 +720,7 @@ class TestCheckpoint:
         ds, splits = tiny_dataset()
         cfg = T.TrainConfig(learning_rate=1e-2, max_epochs=3, seed=2)
         result = T.train(splits, ds.graphs, small_net(), cfg)
-        T.save_checkpoint(tmp_path, result.state, cfg.reg.frozen_modes)
+        T.save_checkpoint(tmp_path, result.state)
         restored = T.load_checkpoint(tmp_path)
         bases = graph_bases(ds.graphs, 2)
         val_rmse = M.rmse(
