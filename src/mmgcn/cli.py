@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 from dataclasses import MISSING, asdict, fields
@@ -30,17 +31,17 @@ from .regularization import RegularizerConfig
 
 WINDOW_LENGTH = len(D.WINDOW_OFFSETS)
 
+# each variant's layer kinds, lower and higher half, and the ``train.reg``
+# values it fixes: the weight of a regularizer it leaves out is zero
 VARIANTS = {
-    "MGCN": {"lower": L.MRGCN, "higher": L.MRGCN, "frozen": ["I", "O", "C", "M"],
-             "use_group_lasso": False, "use_tensor_normal": False},
-    "GGCN_only": {"lower": L.GGCN, "higher": L.GGCN, "frozen": ["I", "O", "C", "M"],
-                  "use_group_lasso": True, "use_tensor_normal": False},
-    "MRGCN_only": {"lower": L.MRGCN, "higher": L.MRGCN, "frozen": ["I", "O"],
-                   "use_group_lasso": False, "use_tensor_normal": True},
-    "GGCN_plus_MRGCN_2S": {"lower": L.GGCN, "higher": L.MRGCN, "frozen": ["I", "O"],
-                           "use_group_lasso": True, "use_tensor_normal": True},
-    "GGCN_plus_MRGCN_4S": {"lower": L.GGCN, "higher": L.MRGCN, "frozen": [],
-                           "use_group_lasso": True, "use_tensor_normal": True},
+    "MGCN": {"lower": L.MRGCN, "higher": L.MRGCN,
+             "reg": {"frozen_modes": ["I", "O", "C", "M"], "alpha_low": 0.0, "alpha_high": 0.0}},
+    "GGCN_only": {"lower": L.GGCN, "higher": L.GGCN,
+                  "reg": {"frozen_modes": ["I", "O", "C", "M"], "alpha_high": 0.0}},
+    "MRGCN_only": {"lower": L.MRGCN, "higher": L.MRGCN,
+                   "reg": {"frozen_modes": ["I", "O"], "alpha_low": 0.0}},
+    "GGCN_plus_MRGCN_2S": {"lower": L.GGCN, "higher": L.MRGCN, "reg": {"frozen_modes": ["I", "O"]}},
+    "GGCN_plus_MRGCN_4S": {"lower": L.GGCN, "higher": L.MRGCN, "reg": {"frozen_modes": []}},
 }
 
 
@@ -53,9 +54,10 @@ def _field_defaults(cls, skip=()) -> dict:
 
 
 # ``network``, ``train`` and ``train.reg`` take their defaults from the
-# dataclasses.  ``network.layer_kinds`` and ``train.reg.frozen_modes`` are
-# derived from the variant: an omitted one takes the variant's value and a
-# given one must equal it, so a previously written run.json can be fed back in
+# dataclasses.  ``network.layer_kinds`` and ``train.reg``'s ``frozen_modes``,
+# ``alpha_low`` and ``alpha_high`` are derived from the variant: an omitted
+# one takes the variant's value (an alpha it does not fix, the dataclass
+# default) and a given one must equal it, so a written run.json reads back
 _RUN_DEFAULTS = {
     "manifest": str,
     "variant": "GGCN_plus_MRGCN_2S",
@@ -67,7 +69,8 @@ _RUN_DEFAULTS = {
     },
     "train": {
         **_field_defaults(T.TrainConfig, skip=("reg",)),
-        "reg": {**_field_defaults(RegularizerConfig), "frozen_modes": (list, None)},
+        "reg": {**_field_defaults(RegularizerConfig), "frozen_modes": (list, None),
+                "alpha_low": (float, None), "alpha_high": (float, None)},
     },
     "analysis": {"edge_threshold": 0.0, "include_diagonal": True, "max_samples": 256},
 }
@@ -105,20 +108,19 @@ def _resolve_run_config(path) -> dict:
         manifest = (Path(path).parent / manifest).resolve()
     config["manifest"] = str(manifest)
     variant = VARIANTS[config["variant"]]
-    reg = config["train"]["reg"]
-    if not variant["use_group_lasso"]:
-        reg["alpha_low"] = 0.0
-    if not variant["use_tensor_normal"]:
-        reg["alpha_high"] = 0.0
     lower = len(dims) // 2
     kinds = [variant["lower"] if i < lower else variant["higher"] for i in range(len(dims))]
-    for path, section, name, derived in (("network", network, "layer_kinds", kinds),
-                                         ("train.reg", reg, "frozen_modes", variant["frozen"])):
+    reg = config["train"]["reg"]
+    for path, section, name, fixed in (
+        ("network", network, "layer_kinds", kinds),
+        *(("train.reg", reg, key, copy.deepcopy(variant["reg"].get(key)))
+          for key in ("frozen_modes", "alpha_low", "alpha_high")),
+    ):
         if section[name] is None:
-            section[name] = list(derived)
-        elif section[name] != derived:
+            section[name] = getattr(RegularizerConfig, name) if fixed is None else fixed
+        elif fixed is not None and section[name] != fixed:
             raise ValueError(f"config.{path}.{name} is {section[name]!r}, but variant "
-                             f"{config['variant']} gives {derived!r}")
+                             f"{config['variant']} gives {fixed!r}")
     _train_config(config)  # range checks, before any command touches a file
     return config
 
@@ -160,9 +162,6 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _cmd_synth(config_path, out_dir) -> int:
     config = checked(read_json(config_path), _SYNTH_DEFAULTS, "config")
-    for name, least in (("val_weeks", 1), ("test_weeks", 0)):
-        if config[name] < least:
-            raise ValueError(f"config.{name} must be >= {least}, got {config[name]!r}")
     synth_cfg = prefixed("config.", D.SynthConfig, **{
         k: v for k, v in config.items() if k not in ("val_weeks", "test_weeks")})
     splits = prefixed("config.", D.default_splits, synth_cfg, config["val_weeks"],
@@ -203,6 +202,7 @@ def _load_run(config_path, out_dir):
     for field, recorded, actual, unit in (
         ("modalities", net.modalities, len(dataset.graphs), "graphs"),
         ("vertex_count", net.vertex_count, dataset.series.vertex_count, "vertices"),
+        ("layers[0].in_dim", net.layer_specs[0].in_dim, WINDOW_LENGTH, "columns per window"),
     ):
         if recorded is not None and recorded != actual:
             raise ValueError(f"{Path(out_dir) / 'checkpoint.json'}.net_config.{field} is "
@@ -229,7 +229,7 @@ def _cmd_evaluate(config_path, out_dir) -> int:
 def _cmd_predict(config_path, out_dir, target_index: int) -> int:
     _, dataset, state, bases = _load_run(config_path, out_dir)
     sample = D.window_at(dataset.series, target_index)
-    prediction = L.network_forward(sample.input, bases, state.params)
+    prediction = L.predict_batches([sample], bases, state.params)[0]
     path = Path(out_dir) / f"prediction_{target_index}.csv"
     np.savetxt(path, prediction, delimiter=",", fmt="%.9g")
     print(f"wrote {path}")

@@ -283,7 +283,11 @@ def save_dataset(dataset: Dataset, out_dir, splits: dict) -> Path:
 
 def default_splits(cfg: SynthConfig, val_weeks: int = 1, test_weeks: int = 1) -> dict:
     """Week-aligned target-index ranges: test takes the last ``test_weeks``
-    weeks, validation the ``val_weeks`` before it, training the rest."""
+    weeks, validation the ``val_weeks`` before it, training the rest.  Each
+    error message begins with the name of the field at fault."""
+    for name, weeks, least in (("val_weeks", val_weeks, 1), ("test_weeks", test_weeks, 0)):
+        if weeks < least:
+            raise ValueError(f"{name} must be >= {least}, got {weeks!r}")
     week = 7 * intervals_per_day(cfg.interval_minutes)
     total = cfg.weeks * week
     test_lo = total - test_weeks * week

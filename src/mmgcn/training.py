@@ -8,6 +8,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -242,91 +243,8 @@ def _tensor_index(tensors):
     return index, offset
 
 
-def save_checkpoint(out_dir, state: TrainState) -> None:
-    """Strict JSON manifest plus one little-endian float64 blob, canonical
-    layout; the frozen modes are those of the network's covariance sets (none
-    without one), and a best validation RMSE that no epoch set is written as
-    null.  Neither file is overwritten until both are fully written."""
-    frozen = {layer.covariances.frozen for layer in state.params.layers
-              if layer.covariances is not None}
-    if len(frozen) > 1:
-        raise ValueError("the network's covariance sets freeze different modes")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tensors = _checkpoint_tensors(state)
-    net_config = asdict(state.params.config)
-    net_config["layers"] = net_config.pop("layer_specs")
-    manifest = {
-        "version": CHECKPOINT_VERSION,
-        "net_config": net_config,
-        "frozen_modes": [name for name, f in zip(MODE_NAMES, frozen.pop() if frozen else ()) if f],
-        "tensor_index": _tensor_index(tensors)[0],
-        "scalars": {
-            "step": state.step,
-            "best_val_rmse": None if state.best_val_rmse == np.inf else
-                             state.best_val_rmse,
-            "best_epoch": state.best_epoch,
-            "epochs_since_improvement": state.epochs_since_improvement,
-        },
-        "rng_state": state.rng.bit_generator.state,
-    }
-    _replace_files([
-        (out / "checkpoint.bin",
-         b"".join(np.asarray(arr, dtype="<f8").tobytes() for _, arr in tensors)),
-        (out / "checkpoint.json",
-         (json.dumps(manifest, indent=2, allow_nan=False) + "\n").encode()),
-    ])
-
-
-def _replace_files(files) -> None:
-    """Write every (path, bytes) pair to a temporary file beside its target,
-    then rename each into place with ``os.replace``, in order.  A failed
-    write leaves every target as it was; only a crash between two renames
-    can leave a new file beside an old one."""
-    temps = []
-    try:
-        for path, data in files:
-            temps.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
-            temps[-1].write_bytes(data)
-        for (path, _), temp in zip(files, temps):
-            os.replace(temp, path)
-    finally:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
-
-
-def _check_layout(index, tensors, blob_size: int) -> None:
-    """Require a checkpoint's ``tensor_index`` to be, entry for entry, the
-    one :func:`save_checkpoint` writes for ``tensors``, and its blob to be
-    that layout's size; else raise ``ValueError`` naming the first tensor at
-    fault, or both byte counts."""
-    expected, size = _tensor_index(tensors)
-    listed = [entry["name"] for entry in index]
-    wanted = [entry["name"] for entry in expected]
-    for i, name in enumerate(listed):
-        if name not in wanted:
-            raise ValueError(f"checkpoint has unexpected tensor {name!r}")
-        if name in listed[:i]:
-            raise ValueError(f"checkpoint lists tensor {name!r} twice")
-    for name in wanted:
-        if name not in listed:
-            raise ValueError(f"checkpoint is missing tensor {name!r}")
-    for (name, arr), entry, want in zip(tensors, index, expected):
-        if entry["name"] != name:
-            raise ValueError(f"checkpoint lists tensor {entry['name']!r} where {name!r} belongs")
-        if entry["shape"] != want["shape"]:
-            raise ValueError(f"checkpoint tensor {name!r} has shape {tuple(entry['shape'])}, "
-                             f"expected {arr.shape}")
-        if entry["offset"] != want["offset"]:
-            raise ValueError(f"checkpoint tensor {name!r} starts at byte {entry['offset']}, "
-                             f"expected {want['offset']}")
-        if want["offset"] + 8 * arr.size > blob_size:
-            raise ValueError(f"checkpoint blob of {blob_size} bytes ends inside tensor {name!r}")
-    if blob_size != size:
-        raise ValueError(f"checkpoint blob holds {blob_size} bytes, its tensors {size}")
-
-
-# every ``checkpoint.json`` field, as save_checkpoint writes it
+# every ``checkpoint.json`` field, as save_checkpoint writes it; ``scalars``
+# lists the ``TrainState`` fields saved as they are, an infinity as null
 _CHECKPOINT_SCHEMA = {
     "version": int,
     "net_config": {
@@ -354,12 +272,62 @@ _CHECKPOINT_SCHEMA = {
 }
 
 
+def save_checkpoint(out_dir, state: TrainState) -> None:
+    """Strict JSON manifest plus one little-endian float64 blob, canonical
+    layout; the frozen modes are those of the network's covariance sets (none
+    without one), and a best validation RMSE that no epoch set is written as
+    null.  Neither file is overwritten until both are fully written."""
+    frozen = {layer.covariances.frozen for layer in state.params.layers
+              if layer.covariances is not None}
+    if len(frozen) > 1:
+        raise ValueError("the network's covariance sets freeze different modes")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    tensors = _checkpoint_tensors(state)
+    net_config = asdict(state.params.config)
+    net_config["layers"] = net_config.pop("layer_specs")
+    manifest = {
+        "version": CHECKPOINT_VERSION,
+        "net_config": net_config,
+        "frozen_modes": [name for name, f in zip(MODE_NAMES, frozen.pop() if frozen else ()) if f],
+        "tensor_index": _tensor_index(tensors)[0],
+        "scalars": {name: None if getattr(state, name) == math.inf else getattr(state, name)
+                    for name in _CHECKPOINT_SCHEMA["scalars"]},
+        "rng_state": state.rng.bit_generator.state,
+    }
+    _replace_files([
+        (out / "checkpoint.bin",
+         b"".join(np.asarray(arr, dtype="<f8").tobytes() for _, arr in tensors)),
+        (out / "checkpoint.json",
+         (json.dumps(manifest, indent=2, allow_nan=False) + "\n").encode()),
+    ])
+
+
+def _replace_files(files) -> None:
+    """Write every (path, bytes) pair to a temporary file beside its target,
+    then rename each into place with ``os.replace``, in order.  A failed
+    write leaves every target as it was; only a crash between two renames
+    can leave a new file beside an old one."""
+    temps = []
+    try:
+        for path, data in files:
+            temps.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
+            temps[-1].write_bytes(data)
+        for (path, _), temp in zip(files, temps):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
 def load_checkpoint(out_dir) -> TrainState:
     """Restore a checkpoint; a manifest that is not valid JSON or of another
     version (checked first: an older one may lack fields), a wrongly typed,
-    missing or unknown field or a value the network rejects, a blob or index
-    that does not match the network, or a frozen covariance mode that is not
-    exactly ``I`` raises ``ValueError`` naming the file, field, tensor or mode."""
+    missing or unknown field or a value the network rejects, a ``tensor_index``
+    other than the one :func:`save_checkpoint` writes for the network (the
+    first differing entry is named), a blob of another size, or a frozen
+    covariance mode that is not exactly ``I`` raises ``ValueError`` naming the
+    file, field, tensor, byte counts or mode."""
     out = Path(out_dir)
     path = out / "checkpoint.json"
     document = read_json(path)
@@ -376,9 +344,14 @@ def load_checkpoint(out_dir) -> TrainState:
     state = init_train_state(params, seed=0)
     tensors = _checkpoint_tensors(state)
     blob = (out / "checkpoint.bin").read_bytes()
-    _check_layout(manifest["tensor_index"], tensors, len(blob))
+    expected, size = _tensor_index(tensors)
+    for i, (listed, wanted) in enumerate(zip_longest(manifest["tensor_index"], expected)):
+        if listed != wanted:
+            raise ValueError(f"checkpoint tensor_index[{i}] is {listed}, expected {wanted}")
+    if len(blob) != size:
+        raise ValueError(f"checkpoint blob holds {len(blob)} bytes, its tensors {size}")
     values = np.frombuffer(blob, dtype="<f8")
-    for (_, arr), entry in zip(tensors, manifest["tensor_index"]):
+    for (_, arr), entry in zip(tensors, expected):
         start = entry["offset"] // 8
         arr[...] = values[start : start + arr.size].reshape(arr.shape)
     for idx, layer in enumerate(state.params.layers):
@@ -387,11 +360,7 @@ def load_checkpoint(out_dir) -> TrainState:
                 CovarianceSet(layer.covariances.sigma, layer.covariances.frozen)
             except ValueError as exc:
                 raise ValueError(f"checkpoint layer {idx}: {exc}") from exc
-    scalars = manifest["scalars"]
-    state.step = scalars["step"]
-    best_val_rmse = scalars["best_val_rmse"]
-    state.best_val_rmse = np.inf if best_val_rmse is None else best_val_rmse
-    state.best_epoch = scalars["best_epoch"]
-    state.epochs_since_improvement = scalars["epochs_since_improvement"]
+    for name, value in manifest["scalars"].items():
+        setattr(state, name, math.inf if value is None else value)
     state.rng.bit_generator.state = manifest["rng_state"]
     return state

@@ -147,7 +147,7 @@ class TestEvaluate:
     def test_truncated_checkpoint_exits_2(self, workspace, tmp_path, capsys):
         # a blob cut in half, and a checkpoint.json without its scalars
         for damaged, message in (
-            ("checkpoint.bin", "ends inside tensor"),
+            ("checkpoint.bin", "blob holds"),
             ("checkpoint.json", "missing field {run}/checkpoint.json.scalars"),
         ):
             run = tmp_path / damaged
@@ -512,7 +512,8 @@ def test_malformed_checkpoint_exits_2_naming_field(run3x3, tmp_path, capsys, edi
     ({"modalities": 2}, "modalities"),
     ({"vertex_count": 16}, "vertex_count"),
     ({"vertex_count": None}, None),
-], ids=["more-modalities", "fewer-modalities", "other-city", "no-vertex-count"])
+    ({"layer_specs": layers.make_layer_specs(["ggcn", "mrgcn"], 4, [2, 1])}, "layers[0].in_dim"),
+], ids=["more-modalities", "fewer-modalities", "other-city", "no-vertex-count", "window-length"])
 def test_checkpoint_must_fit_dataset(run3x3, tmp_path, capsys, change, field):
     # a consistent checkpoint for another network, written by the library
     config, run = run3x3
@@ -609,7 +610,10 @@ def test_echoed_defaults_match_dataclasses(tmp_path):
     ({"network": {"output_dims": [2, 1], "layer_kinds": ["mrgcn", "mrgcn"]}},
      "config.network.layer_kinds"),
     ({"train": {"reg": {"frozen_modes": []}}}, "config.train.reg.frozen_modes"),
-], ids=["layer-kinds", "frozen-modes"])
+    ({"variant": "MGCN", "train": {"reg": {"alpha_low": 0.001}}}, "config.train.reg.alpha_low"),
+    ({"variant": "GGCN_only", "train": {"reg": {"alpha_high": 0.002}}},
+     "config.train.reg.alpha_high"),
+], ids=["layer-kinds", "frozen-modes", "mgcn-alpha-low", "ggcn-only-alpha-high"])
 def test_variant_derived_field_must_match_variant(city3x3, tmp_path, capsys, section, field):
     config = write_json(tmp_path / "run.json", {
         "manifest": str(city3x3 / "manifest.json"), "variant": "GGCN_plus_MRGCN_2S", **section})

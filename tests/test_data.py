@@ -119,6 +119,13 @@ class TestSplitDataset:
             D.split_dataset(samples, (336, 340), (339, 341), (341, 342))
 
 
+@pytest.mark.parametrize("weeks,field", [((0,), "val_weeks"), ((1, -1), "test_weeks")])
+def test_default_splits_rejects_too_few_weeks(weeks, field):
+    # a split the loader would reject is never written: validation needs a week
+    with pytest.raises(ValueError, match=f"^{field} must be >= "):
+        D.default_splits(D.SynthConfig(3, 3, weeks=4), *weeks)
+
+
 class TestGenerateSynthetic:
     def test_deterministic(self):
         cfg = D.SynthConfig(3, 3, weeks=2, drift_rate=0.5, noise_scale=0.3, seed=42)
@@ -222,9 +229,9 @@ class TestRoundTrip:
             D.load_dataset(tmp_path / "nope.json")
 
     def test_vertex_mismatch_names_file(self, tmp_path):
-        cfg = D.SynthConfig(2, 2, weeks=2, seed=0)
+        cfg = D.SynthConfig(2, 2, weeks=3, seed=0)
         ds = D.generate_synthetic(cfg)
-        manifest = D.save_dataset(ds, tmp_path, D.default_splits(cfg, 0, 0))
+        manifest = D.save_dataset(ds, tmp_path, D.default_splits(cfg, 1, 0))
         payload = json.loads(manifest.read_text())
         payload["vertex_count"] = 5
         payload["grid_rows"], payload["grid_cols"] = 1, 5
@@ -233,17 +240,17 @@ class TestRoundTrip:
             D.load_dataset(manifest)
 
     def test_empty_demand_file(self, tmp_path):
-        cfg = D.SynthConfig(2, 2, weeks=2, seed=0)
+        cfg = D.SynthConfig(2, 2, weeks=3, seed=0)
         ds = D.generate_synthetic(cfg)
-        manifest = D.save_dataset(ds, tmp_path, D.default_splits(cfg, 0, 0))
+        manifest = D.save_dataset(ds, tmp_path, D.default_splits(cfg, 1, 0))
         (tmp_path / "demand.csv").write_text("")
         with pytest.raises(ValueError, match="demand.csv"):
             D.load_dataset(manifest)
 
     def test_negative_demand_names_row(self, tmp_path):
-        cfg = D.SynthConfig(2, 2, weeks=2, seed=0)
+        cfg = D.SynthConfig(2, 2, weeks=3, seed=0)
         ds = D.generate_synthetic(cfg)
-        manifest = D.save_dataset(ds, tmp_path, D.default_splits(cfg, 0, 0))
+        manifest = D.save_dataset(ds, tmp_path, D.default_splits(cfg, 1, 0))
         values = ds.series.values.copy()
         values[1, 3] = 7.0
         text = "\n".join(
@@ -256,19 +263,19 @@ class TestRoundTrip:
     @pytest.mark.parametrize("bad,shown", [(float("nan"), "nan"), (float("inf"), "inf"),
                                            (-2.0, "-2.0")])
     def test_bad_demand_names_file_and_row(self, tmp_path, bad, shown):
-        cfg = D.SynthConfig(2, 2, weeks=2, seed=0)
+        cfg = D.SynthConfig(2, 2, weeks=3, seed=0)
         ds = D.generate_synthetic(cfg)
         ds.series.values[2, 5] = bad
-        manifest = D.save_dataset(ds, tmp_path, D.default_splits(cfg, 0, 0))
+        manifest = D.save_dataset(ds, tmp_path, D.default_splits(cfg, 1, 0))
         with pytest.raises(ValueError) as err:
             D.load_dataset(manifest)
         assert str(err.value) == (f"{tmp_path / 'demand.csv'}: demand values must be finite "
                                   f"and nonnegative, row 2 holds {shown}")
 
     def test_asymmetric_road_rejected(self, tmp_path):
-        cfg = D.SynthConfig(3, 3, weeks=2, seed=4)
+        cfg = D.SynthConfig(3, 3, weeks=3, seed=4)
         ds = D.generate_synthetic(cfg)
-        manifest = D.save_dataset(ds, tmp_path, D.default_splits(cfg, 0, 0))
+        manifest = D.save_dataset(ds, tmp_path, D.default_splits(cfg, 1, 0))
         road = ds.road_conn.copy()
         i, j = np.nonzero(road)
         if i.size == 0:

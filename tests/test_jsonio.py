@@ -68,7 +68,7 @@ CASES = {
     "integer-as-float": ("config", _set("train", "learning_rate", value=1),
                          lambda config: type(config["train"]["learning_rate"]) is int),
     "config-nan": ("config", _set("train", "reg", "alpha_low", value=math.nan),
-                   "config.train.reg.alpha_low must be a finite number, got nan"),
+                   "config.train.reg.alpha_low must be a finite number or null, got nan"),
     "manifest-infinity": ("manifest", _set("vertex_count", value=math.inf),
                           "{path}.vertex_count must be an integer, got inf"),
     "checkpoint-infinity": ("checkpoint", _set("scalars", "best_val_rmse", value=-math.inf),

@@ -647,27 +647,6 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"missing field {path}.{dotted}")):
             T.load_checkpoint(saved)
 
-    def test_truncated_blob_names_tensor(self, saved):
-        blob = (saved / "checkpoint.bin").read_bytes()
-        (saved / "checkpoint.bin").write_bytes(blob[:-8])
-        with pytest.raises(ValueError, match=r"ends inside tensor 'layer1\.cov\.M'"):
-            T.load_checkpoint(saved)
-
-    def test_missing_tensor_named(self, saved):
-        # dropping the last tensor keeps the layout of the others intact
-        self._edit_index(saved, lambda index: index.pop())
-        with pytest.raises(ValueError, match=r"missing tensor 'layer1\.cov\.M'"):
-            T.load_checkpoint(saved)
-
-    def test_extra_tensor_named(self, saved):
-        def add(index):
-            index.append({"name": "layer9.weights", "shape": [1],
-                          "offset": index[-1]["offset"]})
-
-        self._edit_index(saved, add)
-        with pytest.raises(ValueError, match=r"unexpected tensor 'layer9\.weights'"):
-            T.load_checkpoint(saved)
-
     @staticmethod
     def _swap_first_two(index):
         # layer0.weights and adam_m.layer0.weights share a shape, so swapping
@@ -676,33 +655,52 @@ class TestCheckpoint:
         index[0], index[1] = index[1], index[0]
         index[0]["offset"], index[1]["offset"] = index[1]["offset"], index[0]["offset"]
 
-    # fault: (edit of the tensor index, or None for a blob with 8 bytes
-    # appended, and the message given the listed names and the blob size)
+    # fault: (the file it damages, the edit of its tensor index or blob, and
+    # the message given the written tensor index and blob size)
     INDEX_FAULTS = {
-        "wrong-shape": (lambda index: index[3].update(shape=[7]),
-                        lambda names, size: f"tensor '{names[3]}' has shape (7,), expected"),
-        "offset-gap": (lambda index: [e.update(offset=e["offset"] + 8) for e in index[4:]],
-                       lambda names, size: f"tensor '{names[4]}' starts at byte"),
-        "duplicate": (lambda index: index.append(dict(index[0])),
-                      lambda names, size: f"lists tensor '{names[0]}' twice"),
-        "swapped": (_swap_first_two,
-                    lambda names, size: f"tensor '{names[1]}' where '{names[0]}' belongs"),
-        "trailing-bytes": (None,
-                           lambda names, size: f"blob holds {size + 8} bytes, its tensors {size}"),
+        "wrong-shape": ("checkpoint.json", lambda index: index[3].update(shape=[7]),
+                        lambda index, size: f"tensor_index[3] is {dict(index[3], shape=[7])}, "
+                                            f"expected {index[3]}"),
+        "offset-gap": ("checkpoint.json",
+                       lambda index: [e.update(offset=e["offset"] + 8) for e in index[4:]],
+                       lambda index, size: f"tensor_index[4] is "
+                                           f"{dict(index[4], offset=index[4]['offset'] + 8)}, "
+                                           f"expected {index[4]}"),
+        "duplicate": ("checkpoint.json", lambda index: index.append(dict(index[0])),
+                      lambda index, size: f"tensor_index[{len(index)}] is {index[0]}, "
+                                          f"expected None"),
+        "swapped": ("checkpoint.json", _swap_first_two,
+                    lambda index, size: f"tensor_index[0] is {dict(index[1], offset=0)}, "
+                                        f"expected {index[0]}"),
+        # dropping the last tensor keeps the layout of the others intact
+        "missing": ("checkpoint.json", lambda index: index.pop(),
+                    lambda index, size: f"tensor_index[{len(index) - 1}] is None, "
+                                        f"expected {index[-1]}"),
+        "extra": ("checkpoint.json",
+                  lambda index: index.append({"name": "layer9.weights", "shape": [1],
+                                              "offset": index[-1]["offset"]}),
+                  lambda index, size: f"tensor_index[{len(index)}] is {{'name': 'layer9.weights', "
+                                      f"'shape': [1], 'offset': {index[-1]['offset']}}}, "
+                                      f"expected None"),
+        "truncated": ("checkpoint.bin", lambda blob: blob[:-8],
+                      lambda index, size: f"blob holds {size - 8} bytes, its tensors {size}"),
+        "trailing-bytes": ("checkpoint.bin", lambda blob: blob + bytes(8),
+                           lambda index, size: f"blob holds {size + 8} bytes, "
+                                               f"its tensors {size}"),
     }
 
     @pytest.mark.parametrize("fault", list(INDEX_FAULTS))
     def test_index_fault_named(self, saved, fault):
-        edit, message = self.INDEX_FAULTS[fault]
-        names = [e["name"] for e in json.loads((saved / "checkpoint.json").read_text())
-                 ["tensor_index"]]
+        damaged, edit, message = self.INDEX_FAULTS[fault]
+        index = json.loads((saved / "checkpoint.json").read_text())["tensor_index"]
         blob = (saved / "checkpoint.bin").read_bytes()
-        if edit is None:
-            (saved / "checkpoint.bin").write_bytes(blob + bytes(8))
+        if damaged == "checkpoint.bin":
+            (saved / damaged).write_bytes(edit(blob))
         else:
             self._edit_index(saved, edit)
-        with pytest.raises(ValueError, match=re.escape(message(names, len(blob)))):
+        with pytest.raises(ValueError) as err:
             T.load_checkpoint(saved)
+        assert str(err.value) == f"checkpoint {message(index, len(blob))}"
 
     def test_tampered_frozen_mode_named(self, saved):
         # layer 1 freezes its input mode ("I"); its stored matrix must stay I
