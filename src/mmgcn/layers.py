@@ -37,9 +37,10 @@ LOSS_SMOOTHING = 1e-12
 # prediction reads only its own input, so another chunking can move it by
 # BLAS rounding at most.  2048 keeps a 6x6 city's 32-window batch
 # (1152 rows) whole; at V=256 a batch is four 8-window chunks.  Measured on 2
-# cores, OpenBLAS at 2 threads: one V=256 training step's traced peak fell
-# from 88.9 to 25.6 MB and its time from 268 to 250 ms, while 8-window chunks
-# at V=36 made a step 15 % slower.
+# cores, OpenBLAS at 2 threads: chunks cut one 32-window V=256, K=4 training
+# step's traced peak from 90.4 to 24.9 MB (each propagated stack freed at its
+# last reader) and its time from 268 to 250 ms, while 8-window chunks at V=36
+# made a step 15 % slower.
 ROW_BUDGET = 2048
 
 
@@ -249,6 +250,8 @@ def _layer_forward(h, bases, layer: LayerParams, kind: str, activation: str, kee
         for i in range(m):
             q = h[i].reshape(v * b, f1) @ w[i]
             z[i % groups] += bases[i].gather(q.reshape(v, b, kp1, g))
+    if not keep_cache:
+        operand = None  # the contraction was the propagated stack's last reader
     z = np.ascontiguousarray(
         z.reshape(groups, v, b, -1, f2).transpose(0, 3, 1, 2, 4)).reshape(m, v, b, f2)
     z += _bias_view(layer.biases)
@@ -258,12 +261,15 @@ def _layer_forward(h, bases, layer: LayerParams, kind: str, activation: str, kee
     return z, ((operand, w, mask, groups) if keep_cache else None)
 
 
-def _layer_backward(d_out, cache, bases, layer: LayerParams, need_dh: bool):
-    """Backward of :func:`_layer_forward`: the (M, V, B, f1) input gradient,
-    or None unless ``need_dh``, and the layer's parameter gradients.  A
-    writeable ``d_out`` belongs to the backward pass and takes the ReLU mask
-    in place."""
-    operand, w, mask, groups = cache
+def _layer_backward(d_out, caches: list, bases, layer: LayerParams, need_dh: bool):
+    """Backward of :func:`_layer_forward` for the layer whose cache is the
+    last of ``caches``: the (M, V, B, f1) input gradient, or None unless
+    ``need_dh``, and the layer's parameter gradients.  A writeable ``d_out``
+    belongs to the backward pass and takes the ReLU mask in place.  The cache
+    is popped here, not passed in, so that no caller's frame keeps it, and the
+    propagated stack is freed as soon as the weight gradient is formed, before
+    the input-gradient products."""
+    operand, w, mask, groups = caches.pop()
     if mask is not None:
         d_out = np.multiply(d_out, mask, out=d_out if d_out.flags.writeable else None)
     d_biases = _bias_grad(d_out, layer.biases)
@@ -278,6 +284,7 @@ def _layer_backward(d_out, cache, bases, layer: LayerParams, need_dh: bool):
     if first:
         np.matmul(operand.reshape(v * b, groups, -1).transpose(1, 2, 0), dz,
                   out=d_mats.reshape(groups, -1, g))
+        del operand
         if need_dh:  # one source's propagated gradient at a time
             for i in range(m):
                 dp = (dz[i % groups] @ w[i].T).reshape(v, b, kp1, f1)
@@ -288,7 +295,7 @@ def _layer_backward(d_out, cache, bases, layer: LayerParams, need_dh: bool):
             bases[i].spread(dz[i % groups].reshape(v, b, g), dq)
             np.matmul(operand[i].reshape(v * b, f1).T, dq.reshape(v * b, -1), out=d_mats[i])
             if need_dh:
-                dh[i] = (dq.reshape(v * b, -1) @ w[i].T).reshape(v, b, f1)
+                np.matmul(dq.reshape(v * b, -1), w[i].T, out=dh[i].reshape(v * b, f1))
     return dh, LayerParams(_from_source_major(d_mats, layer.weights.shape), d_biases)
 
 
@@ -319,8 +326,7 @@ def _backward_batch(d_pred, caches, bases, params: NetworkParams):
     grads = [None] * len(params.layers)
     for idx in range(len(params.layers) - 1, -1, -1):
         # layer 0's input gradient would only reach the data: not computed
-        dh, grads[idx] = _layer_backward(dh, caches[idx], bases, params.layers[idx], idx > 0)
-        caches[idx] = None  # release this layer's propagated stack and mask
+        dh, grads[idx] = _layer_backward(dh, caches, bases, params.layers[idx], idx > 0)
     return grads
 
 

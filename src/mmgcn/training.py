@@ -95,7 +95,8 @@ def init_train_state(params: L.NetworkParams, seed: int) -> TrainState:
 
 
 def adam_step(state: TrainState, grads, cfg: TrainConfig) -> TrainState:
-    """Standard bias-corrected Adam, in place; rejects non-finite gradients.
+    """Standard bias-corrected Adam, in place; rejects non-finite gradients
+    before any array moves, so a failure leaves the state as it was.
 
     Every parameter is updated through two scratch arrays, with the same
     IEEE operations in the same order as ``m_hat = m / (1 - beta1**t)``,
@@ -108,12 +109,13 @@ def adam_step(state: TrainState, grads, cfg: TrainConfig) -> TrainState:
     flat_grads = []
     for layer_grads in grads:
         flat_grads.extend([layer_grads.weights, layer_grads.biases])
-    state.step += 1
-    t = state.step
-    for (name, param), grad, m, v in zip(named, flat_grads, state.first_moment,
-                                         state.second_moment):
+    for (name, _), grad in zip(named, flat_grads):
         if not np.isfinite(grad).all():
             raise NumericalFailure(f"non-finite gradient in {name}")
+    state.step += 1
+    t = state.step
+    for (_, param), grad, m, v in zip(named, flat_grads, state.first_moment,
+                                      state.second_moment):
         a, b = np.empty_like(param), np.empty_like(param)
         m *= cfg.adam_beta1
         m += np.multiply(1.0 - cfg.adam_beta1, grad, out=a)

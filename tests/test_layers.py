@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -411,6 +413,41 @@ class TestBatchLossPurity:
         for g1, g2 in zip(grads1, grads2):
             assert np.array_equal(g1.weights, g2.weights)
             assert np.array_equal(g1.biases, g2.biases)
+
+
+class TestActivationLifetime:
+    def test_backward_frees_each_stack_before_its_input_gradient(self):
+        """The GGCN 32 -> 64 layer propagates its input; its stack is freed
+        once the weight gradient is formed, before the input-gradient gathers
+        (the only gathers of this stack's backward pass: both MRGCN layers
+        contract first, and layer 0 forms no input gradient)."""
+        rng = np.random.default_rng(8)
+        v, m, degree = 4, 3, 2
+        bases = graphs.graph_bases(
+            [random_graph(rng, v, modality=f"custom{i}") for i in range(m)], degree
+        )
+        specs = layers.make_layer_specs(["ggcn", "ggcn", "mrgcn", "mrgcn"], 5, [32, 64, 32, 1])
+        params = layers.init_network_params(layers.NetworkConfig(m, degree, specs), 0)
+        x = rng.normal(size=(2, v, 5))
+        pred, caches, _ = layers._forward_batch(x, bases, params, keep_caches=True)
+        assert caches[1][0].shape == (v, 2, m, degree + 1, 32)
+        stack = weakref.ref(caches[1][0])
+        stack_alive_at_gather = []
+
+        class Watched:
+            def __init__(self, basis):
+                self.basis = basis
+
+            def spread(self, x, out):
+                self.basis.spread(x, out)
+
+            def gather(self, y):
+                stack_alive_at_gather.append(stack() is not None)
+                return self.basis.gather(y)
+
+        layers._backward_batch(np.ones_like(pred), caches, [Watched(b) for b in bases], params)
+        assert stack_alive_at_gather == [False] * m
+        assert caches == []
 
 
 class TestParamPacking:

@@ -213,6 +213,29 @@ class TestAdamStep:
         with pytest.raises(NumericalFailure, match="layer1.weights"):
             T.adam_step(state, grads, T.TrainConfig())
 
+    def test_nonfinite_gradient_leaves_state_unchanged(self):
+        state = self._state()
+        rng = np.random.default_rng(4)
+
+        def random_grads():
+            return [L.LayerParams(rng.normal(size=l.weights.shape),
+                                  rng.normal(size=l.biases.shape))
+                    for l in state.params.layers]
+
+        T.adam_step(state, random_grads(), T.TrainConfig())  # nonzero moments
+        before = copy.deepcopy(state)
+        grads = random_grads()
+        grads[-1].biases[0, 0] = np.nan  # the last array adam_step visits
+        with pytest.raises(NumericalFailure, match="layer1.bias"):
+            T.adam_step(state, grads, T.TrainConfig())
+        assert state.step == before.step == 1
+        for (name, got), (_, expected) in zip(L.named_param_arrays(state.params),
+                                              L.named_param_arrays(before.params)):
+            assert np.array_equal(got, expected), name
+        for got, expected in zip(state.first_moment + state.second_moment,
+                                 before.first_moment + before.second_moment):
+            assert np.array_equal(got, expected)
+
 
 class TestTrain:
     def test_zero_epochs_returns_initial_state(self):
