@@ -51,7 +51,10 @@ class DemandSeries:
     interval_minutes: int = 30
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        # every sample reads its window from these values, so the series
+        # keeps its own read-only copy
+        self.values = np.array(self.values, dtype=float)
+        self.values.setflags(write=False)
         if self.values.ndim != 2:
             raise ValueError(f"demand must be |V| x T, got shape {self.values.shape}")
         intervals_per_day(self.interval_minutes)
@@ -81,21 +84,37 @@ class DemandSeries:
 
 @dataclass(frozen=True)
 class Sample:
-    """One training example: 5-slot input window and next-interval target."""
+    """One training example: the target interval ``target_index`` of a
+    series.  Its input window and target are read from the series whenever
+    they are used, so a sample copies no demand value."""
 
-    input: np.ndarray  # (V, 5), columns ordered per WINDOW_OFFSETS
-    target: np.ndarray  # (V, 1)
+    series: DemandSeries
     target_index: int
+
+    def __post_init__(self):
+        # the window reads a week back; an earlier index would wrap around
+        week, total = self.series.week_intervals, self.series.values.shape[1]
+        if not week <= self.target_index < total:
+            raise ValueError(f"target index {self.target_index} has no sample "
+                             f"(valid range [{week}, {total - 1}])")
+
+    @property
+    def input(self) -> np.ndarray:
+        """(V, 5) window gathered from the series on each read, columns
+        ordered per WINDOW_OFFSETS."""
+        t, day = self.target_index, self.series.day_intervals
+        return self.series.values[:, (t - 1, t - 2, t - 3, t - day, t - 7 * day)]
+
+    @property
+    def target(self) -> np.ndarray:
+        """(V, 1) read-only view of the target interval."""
+        return self.series.values[:, self.target_index : self.target_index + 1]
 
 
 def window_at(series: DemandSeries, t: int) -> Sample:
     """The sample whose target is interval ``t``; its input reads only earlier
     intervals, so ``t`` needs a full week of history."""
-    values, day = series.values, series.day_intervals
-    week, total = 7 * day, values.shape[1]
-    if not week <= t < total:
-        raise ValueError(f"target index {t} has no sample (valid range [{week}, {total - 1}])")
-    return Sample(values[:, (t - 1, t - 2, t - 3, t - day, t - week)], values[:, t : t + 1], t)
+    return Sample(series, t)
 
 
 def make_windows(series: DemandSeries) -> list:
@@ -107,7 +126,7 @@ def make_windows(series: DemandSeries) -> list:
         raise ValueError(
             f"need more than {week} intervals to window with trend, got {total}"
         )
-    return [window_at(series, t) for t in range(week, total)]
+    return [Sample(series, t) for t in range(week, total)]
 
 
 def split_dataset(samples, train_range, val_range, test_range):

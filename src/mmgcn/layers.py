@@ -331,14 +331,17 @@ def _backward_batch(d_pred, caches, bases, params: NetworkParams):
 
 
 def _forward_chunks(windows, bases, params: NetworkParams, keep_caches=False, keep_hidden=False):
-    """Yield each chunk's slice of ``windows`` (a (B, V, T) array or a list of
-    (V, T) inputs), at most ``max(1, ROW_BUDGET // V)`` windows, with
-    :func:`_forward_batch`'s ``(pred, caches, hidden)`` for the chunk."""
-    step = max(1, ROW_BUDGET // len(windows[0]))
+    """Yield each chunk's slice of ``windows``, at most
+    ``max(1, ROW_BUDGET // V)`` windows, with :func:`_forward_batch`'s
+    ``(pred, caches, hidden)`` for the chunk.  ``windows`` is a (B, V, T)
+    array, or a list of samples whose inputs are read only when their chunk
+    runs."""
+    stacked = isinstance(windows, np.ndarray)
+    step = max(1, ROW_BUDGET // (windows.shape[1] if stacked else len(windows[0].target)))
     for start in range(0, len(windows), step):
         rows = slice(start, start + step)
-        yield rows, *_forward_batch(np.asarray(windows[rows]), bases, params, keep_caches,
-                                    keep_hidden)
+        chunk = windows[rows] if stacked else np.stack([s.input for s in windows[rows]])
+        yield rows, *_forward_batch(chunk, bases, params, keep_caches, keep_hidden)
 
 
 def batch_loss(x_batch, y_batch, bases, params: NetworkParams, reg: RegularizerConfig,
@@ -397,12 +400,12 @@ def batch_loss(x_batch, y_batch, bases, params: NetworkParams, reg: RegularizerC
 
 
 def predict_batches(samples, bases, params: NetworkParams) -> np.ndarray:
-    """(N, V) predictions, run in :data:`ROW_BUDGET` chunks."""
+    """(N, V) predictions, run in :data:`ROW_BUDGET` chunks; each chunk's
+    windows are read from its samples only when it runs."""
     if not samples:
         raise ValueError("no samples to predict")
-    v = samples[0].input.shape[0]
-    preds = np.empty((len(samples), v))
-    for rows, pred, _, _ in _forward_chunks([s.input for s in samples], bases, params):
+    preds = np.empty((len(samples), len(samples[0].target)))
+    for rows, pred, _, _ in _forward_chunks(samples, bases, params):
         preds[rows] = pred
     return preds
 

@@ -164,7 +164,9 @@ def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig)
 
     An epoch's ``train_rmse`` is pooled over the predictions its training
     steps make, each with the parameters in place before that batch's
-    update; only the validation split is evaluated after the epoch."""
+    update; only the validation split is evaluated after the epoch.  Each
+    batch's windows are read from its samples when the batch runs, so no
+    copy of the split's windows is held."""
     train_samples, val_samples = dataset_splits["train"], dataset_splits["val"]
     if not train_samples or not val_samples:
         raise ValueError("train and validation splits must be nonempty")
@@ -174,17 +176,16 @@ def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig)
     history = []
     best = state  # until an epoch improves; the first finite one always does
 
-    targets = stack_targets(train_samples)
-    inputs = np.stack([s.input for s in train_samples])
+    cells = len(train_samples) * train_samples[0].target.size
     for epoch in range(cfg.max_epochs):
         order = state.rng.permutation(len(train_samples))
         sq_errors = []
         for start in range(0, len(train_samples), cfg.batch_size):
-            picked = order[start : start + cfg.batch_size]
+            batch = [train_samples[i] for i in order[start : start + cfg.batch_size]]
             try:
                 _, grads = L.batch_loss(
-                    inputs[picked], targets[picked], bases, state.params, cfg.reg,
-                    with_grads=True, sq_errors=sq_errors,
+                    np.stack([s.input for s in batch]), stack_targets(batch), bases,
+                    state.params, cfg.reg, with_grads=True, sq_errors=sq_errors,
                 )
                 adam_step(state, grads, cfg)
                 if state.step % cfg.cov_update_every == 0:
@@ -193,7 +194,7 @@ def train(dataset_splits, graphs, net_config: L.NetworkConfig, cfg: TrainConfig)
                 raise NumericalFailure(
                     f"epoch {epoch}, batch {start // cfg.batch_size}: {exc}"
                 ) from exc
-        train_rmse = float(np.sqrt(sum(sq_errors) / targets.size))
+        train_rmse = float(np.sqrt(sum(sq_errors) / cells))
         val_rmse = evaluate_rmse(val_samples, bases, state.params)
         if not (np.isfinite(train_rmse) and np.isfinite(val_rmse)):
             # a NaN never compares below the best and would pass for "no improvement"

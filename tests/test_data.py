@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,15 @@ class TestDemandSeries:
         series = constant_series()
         assert series.day_intervals == 48
         assert series.week_intervals == 336
+
+    def test_keeps_a_read_only_copy(self):
+        values = np.ones((2, 400))
+        series = D.DemandSeries(values)
+        assert not series.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            series.values[0, 0] = 2.0
+        values[0, 0] = 2.0  # the caller's array stays writable and apart
+        assert series.values[0, 0] == 1.0
 
 
 class TestMakeWindows:
@@ -70,6 +80,40 @@ class TestMakeWindows:
     def test_too_short(self):
         with pytest.raises(ValueError, match="window"):
             D.make_windows(constant_series(intervals=336))
+
+    @settings(max_examples=25, deadline=None)
+    @given(vertices=st.integers(1, 4), weeks=st.integers(2, 3),
+           interval_minutes=st.sampled_from([15, 30, 60, 180, 480, 1440]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_sample_reads_its_lags_from_the_series(self, vertices, weeks,
+                                                         interval_minutes, seed):
+        day = D.intervals_per_day(interval_minutes)
+        values = np.random.default_rng(seed).uniform(0.0, 10.0, (vertices, weeks * 7 * day))
+        series = D.DemandSeries(values, interval_minutes)
+        lags = dict(zip(D.WINDOW_OFFSETS, (1, 2, 3, day, 7 * day)))
+        samples = D.make_windows(series)
+        assert [s.target_index for s in samples] == list(range(7 * day, values.shape[1]))
+        for sample in samples:  # the first and the last index among them
+            t = sample.target_index
+            assert sample.series is series
+            window = sample.input
+            assert window.shape == (vertices, len(D.WINDOW_OFFSETS))
+            for slot, name in enumerate(D.WINDOW_OFFSETS):
+                np.testing.assert_array_equal(window[:, slot], values[:, t - lags[name]])
+            np.testing.assert_array_equal(sample.target, values[:, t : t + 1])
+
+    def test_copies_no_window(self):
+        # a 16x16, 4-week city has 1008 windows; a (V, 5) copy of each is 10.3 MB
+        series = D.generate_synthetic(D.SynthConfig(16, 16, weeks=4, seed=2)).series
+        tracemalloc.start()
+        try:
+            samples = D.make_windows(series)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        copies = len(samples) * series.vertex_count * len(D.WINDOW_OFFSETS) * 8
+        assert len(samples) == 1008
+        assert peak < copies / 20
 
 
 class TestWindowAt:
@@ -265,7 +309,9 @@ class TestRoundTrip:
     def test_bad_demand_names_file_and_row(self, tmp_path, bad, shown):
         cfg = D.SynthConfig(2, 2, weeks=3, seed=0)
         ds = D.generate_synthetic(cfg)
-        ds.series.values[2, 5] = bad
+        values = ds.series.values.copy()  # the series' own values are read-only
+        values[2, 5] = bad
+        ds.series.values = values
         manifest = D.save_dataset(ds, tmp_path, D.default_splits(cfg, 1, 0))
         with pytest.raises(ValueError) as err:
             D.load_dataset(manifest)

@@ -8,6 +8,8 @@ window count times f; OpenBLAS handles narrow remainders with other kernels,
 which may round differently, about 1e-15 relative.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,9 @@ def assert_same(got, want, exact: bool):
 
 
 def as_samples(x, y):
-    return [D.Sample(window, target[:, None], t) for t, (window, target) in enumerate(zip(x, y))]
+    """Stand-ins for ``data.Sample`` holding free-standing windows; a pass
+    reads only a sample's ``input`` and ``target``."""
+    return [SimpleNamespace(input=window, target=target[:, None]) for window, target in zip(x, y)]
 
 
 def run_loss(x, y, bases, params):

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +442,27 @@ class TestTrain:
             pooled = np.sqrt(squared / targets.size)
             assert result.history[epoch].train_rmse == pytest.approx(pooled, rel=1e-12)
 
+    def test_peak_holds_no_copy_of_the_split(self):
+        # windows are read batch by batch, so doubling the training split
+        # must not raise the traced peak by a copy of its (N, V, 5) windows
+        ds = D.generate_synthetic(D.SynthConfig(16, 16, weeks=4, seed=2))
+        samples = D.make_windows(ds.series)
+        net, cfg = small_net(dims=(2, 1), degree=1), T.TrainConfig(max_epochs=1, seed=0)
+        n, v = 192, ds.series.vertex_count
+
+        def peak(train):
+            splits = {"train": train, "val": samples[-8:]}
+            T.train(splits, ds.graphs, net, cfg)  # imports and caches settle first
+            tracemalloc.start()
+            try:
+                T.train(splits, ds.graphs, net, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        windows = n * v * len(D.WINDOW_OFFSETS) * 8  # 1.97 MB of (V, 5) copies
+        assert peak(samples[: 2 * n]) - peak(samples[:n]) < windows / 4
+
     def test_empty_split_rejected(self):
         ds, splits = tiny_dataset()
         with pytest.raises(ValueError):
@@ -476,6 +498,40 @@ class TestCovarianceUpdate:
         for layer in params.layers:
             for sigma in layer.covariances.sigma:
                 assert np.trace(sigma) / sigma.shape[0] == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("form,frozen,collapses", [
+    ("literal", (), True),  # GGCN_plus_MRGCN_4S with the default form
+    ("literal", ("I", "O"), False),  # 2S
+    ("inverse_mle", (), False),
+])
+def test_literal_4s_covariances_collapse_to_rank_one(covariance_updates, form, frozen,
+                                                     collapses):
+    """A characterisation of today's flip-flop, not a property it should
+    keep: the literal update multiplies each unfolding by the other modes'
+    covariances, so under 4S its passes act as a coupled power iteration and
+    every free mode of dimension >= 2 ends rank one, its second eigenvalue at
+    the epsilon floor.  2S and the inverse form on the same run stay far
+    above it, so the pin cannot pass for want of a spectrum."""
+    city = D.SynthConfig(3, 3, weeks=3, drift_rate=1.5, noise_scale=0.5, seed=3)
+    ds = D.generate_synthetic(city)
+    train, val, _ = D.split_dataset(D.make_windows(ds.series),
+                                    *D.default_splits(city, 1, 0).values())
+    reg = RegularizerConfig(frozen_modes=frozen, flip_flop_form=form)
+    cfg = T.TrainConfig(learning_rate=1e-2, max_epochs=4, patience=4, cov_update_every=2,
+                        seed=0, reg=reg)
+    T.train({"train": train, "val": val}, ds.graphs,
+            small_net(("ggcn", "ggcn", "mrgcn", "mrgcn"), (8, 8, 4, 1)), cfg)
+    assert len(covariance_updates) == 22  # 4 epochs of 11 batches, every second step
+    seconds = [np.linalg.eigvalsh(sigma)[-2] for cov in covariance_updates[-1]
+               for sigma, fixed in zip(cov.sigma, cov.frozen)
+               if not fixed and len(sigma) >= 2]
+    assert len(seconds) == (7 if not frozen else 4)  # the last layer's O mode is 1 wide
+    floor = reg.epsilon
+    if collapses:
+        assert all(abs(second - floor) <= 10 * floor for second in seconds), seconds
+    else:
+        assert min(seconds) > 1e4 * floor, seconds
 
 
 class TestCheckpoint:
