@@ -296,8 +296,8 @@ def _cmd_analyze(config_path, out_dir) -> int:
     _write_json(out / "drift.json", {"weeks": [dict(zip(header, row)) for row in rows]})
 
     # _drift_rows has checked that the test split holds a whole week
-    x_batch = np.stack([s.input for s in splits["test"][: analysis["max_samples"]]])
-    covariances = L.feature_covariances(x_batch, bases, state.params)
+    covariances = L.feature_covariances(splits["test"][: analysis["max_samples"]], bases,
+                                        state.params)
     independence = _independence(covariances, names, analysis["include_diagonal"])
     _write_json(out / "feature_independence.json", {"layers": independence})
     _write_csv(out / "feature_independence.csv", ("layer", "modality", "independence"),

@@ -31,17 +31,26 @@ IDENTITY = "identity"
 # Smoothing floor under the square root of the prediction loss; keeps the
 # batch-RMSE objective differentiable at an exact fit.
 LOSS_SMOOTHING = 1e-12
-# Rows (one window at one vertex) per forward and backward pass.  Every
-# multi-window call runs in chunks of max(1, ROW_BUDGET // V) windows, so its
-# activations are bounded by the budget, not by the batch; a window's
-# prediction reads only its own input, so another chunking can move it by
-# BLAS rounding at most.  2048 keeps a 6x6 city's 32-window batch
-# (1152 rows) whole; at V=256 a batch is four 8-window chunks.  Measured on 2
-# cores, OpenBLAS at 2 threads: chunks cut one 32-window V=256, K=4 training
-# step's traced peak from 90.4 to 24.9 MB (each propagated stack freed at its
-# last reader) and its time from 268 to 250 ms, while 8-window chunks at V=36
-# made a step 15 % slower.
+# Rows (one window at one vertex) per chunk of a multi-window pass.  Every
+# such call runs in chunks of max(1, budget // V) windows, so its activations
+# are bounded by the budget, not by the batch; a window's prediction reads
+# only its own input, so another chunking can move it by BLAS rounding at
+# most.  ROW_BUDGET bounds the forward-only passes.  TRAIN_ROW_BUDGET bounds
+# a training step, whose chunk keeps every layer's propagated stack until its
+# backward pass and so gets fewer rows: the fewest that keep a 6x6 city's
+# 32-window batch whole.  At V=256 a step then runs in 4-window chunks, whose
+# stacks are half a forward-only chunk's.  Measured on 2 cores, OpenBLAS at 2
+# threads: one 32-window V=256, K=4 training step's traced peak is 90.4 MB
+# unchunked, 24.9 MB at 2048 rows and 13.7 MB at 1152; the step took about
+# 5 % longer in process, but a whole V=256 training request was no slower.
+# With 5- or 6-window chunks (1280 or 1536 rows) about one training run in
+# eight peaked 5-7 MB above the others.  8-window chunks at V=36 made a step
+# 15 % slower, and a forward budget of 1152 or 1536 rows made a V=36
+# training request 3-14 % slower, with up to thirty times the minor page
+# faults (most likely because a smaller evaluation stack, once freed, leaves
+# glibc's mmap threshold lower).
 ROW_BUDGET = 2048
+TRAIN_ROW_BUDGET = 1152
 
 
 @dataclass(frozen=True)
@@ -330,14 +339,15 @@ def _backward_batch(d_pred, caches, bases, params: NetworkParams):
     return grads
 
 
-def _forward_chunks(windows, bases, params: NetworkParams, keep_caches=False, keep_hidden=False):
+def _forward_chunks(windows, bases, params: NetworkParams, budget: int,
+                   keep_caches=False, keep_hidden=False):
     """Yield each chunk's slice of ``windows``, at most
-    ``max(1, ROW_BUDGET // V)`` windows, with :func:`_forward_batch`'s
+    ``max(1, budget // V)`` windows, with :func:`_forward_batch`'s
     ``(pred, caches, hidden)`` for the chunk.  ``windows`` is a (B, V, T)
     array, or a list of samples whose inputs are read only when their chunk
     runs."""
     stacked = isinstance(windows, np.ndarray)
-    step = max(1, ROW_BUDGET // (windows.shape[1] if stacked else len(windows[0].target)))
+    step = max(1, budget // (windows.shape[1] if stacked else len(windows[0].target)))
     for start in range(0, len(windows), step):
         rows = slice(start, start + step)
         chunk = windows[rows] if stacked else np.stack([s.input for s in windows[rows]])
@@ -354,7 +364,7 @@ def batch_loss(x_batch, y_batch, bases, params: NetworkParams, reg: RegularizerC
     ``sq_errors`` is given, the batch's sum of squared residuals is appended
     to it.
 
-    The batch runs in :data:`ROW_BUDGET` chunks.  The backward pass is linear
+    The batch runs in :data:`TRAIN_ROW_BUDGET` chunks.  The backward pass is linear
     in its top gradient, so each chunk's pass runs against ``residual / n``
     and the RMSE's ``1 / j0`` factor scales the sum once the whole residual is
     known.
@@ -364,7 +374,8 @@ def batch_loss(x_batch, y_batch, bases, params: NetworkParams, reg: RegularizerC
         raise ValueError("batch must be nonempty")
     residual = np.empty((b, v))
     grads = None
-    for rows, pred, caches, _ in _forward_chunks(x_batch, bases, params, keep_caches=with_grads):
+    for rows, pred, caches, _ in _forward_chunks(x_batch, bases, params, TRAIN_ROW_BUDGET,
+                                                   keep_caches=with_grads):
         chunk = np.subtract(pred, y_batch[rows], out=residual[rows])
         if not with_grads:
             continue
@@ -405,7 +416,7 @@ def predict_batches(samples, bases, params: NetworkParams) -> np.ndarray:
     if not samples:
         raise ValueError("no samples to predict")
     preds = np.empty((len(samples), len(samples[0].target)))
-    for rows, pred, _, _ in _forward_chunks(samples, bases, params):
+    for rows, pred, _, _ in _forward_chunks(samples, bases, params, ROW_BUDGET):
         preds[rows] = pred
     return preds
 
@@ -458,7 +469,7 @@ def network_forward_hidden(x_batch: np.ndarray, bases, params: NetworkParams):
     pred = np.empty((b, v))
     hidden = [np.empty((params.config.modalities, b, v, spec.out_dim))
               for spec in params.config.layer_specs]
-    for rows, chunk_pred, _, chunk_hidden in _forward_chunks(x_batch, bases, params,
+    for rows, chunk_pred, _, chunk_hidden in _forward_chunks(x_batch, bases, params, ROW_BUDGET,
                                                              keep_hidden=True):
         pred[rows] = chunk_pred
         for out, h in zip(hidden, chunk_hidden):
@@ -466,14 +477,16 @@ def network_forward_hidden(x_batch: np.ndarray, bases, params: NetworkParams):
     return pred, hidden
 
 
-def feature_covariances(x_batch: np.ndarray, bases, params: NetworkParams) -> list:
+def feature_covariances(samples, bases, params: NetworkParams) -> list:
     """Each layer's per-modality (M, f, f) covariance of its post-activation
-    features over the (window, vertex) rows of ``x_batch``, as ``np.cov``
+    features over the (window, vertex) rows of ``samples``, as ``np.cov``
     gives it, from a pass in :data:`ROW_BUDGET` chunks: each chunk's mean and
     centred scatter merge into the running ones (Chan, Golub & LeVeque 1979),
-    so no layer's features outlive their chunk."""
+    so no layer's features outlive their chunk.  ``samples`` is a (B, V, T)
+    array or a list of samples, whose inputs are read one chunk at a time, as
+    in :func:`predict_batches`."""
     moments = [(0, 0.0, 0.0)] * len(params.layers)  # rows so far, mean, scatter
-    for _, _, _, hidden in _forward_chunks(x_batch, bases, params, keep_hidden=True):
+    for _, _, _, hidden in _forward_chunks(samples, bases, params, ROW_BUDGET, keep_hidden=True):
         for idx, h in enumerate(hidden):
             rows = h.reshape(h.shape[0], -1, h.shape[-1])
             n, mean = rows.shape[1], rows.mean(axis=1)

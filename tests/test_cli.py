@@ -8,7 +8,7 @@ import pytest
 
 from mmgcn import layers
 from mmgcn.cli import VARIANTS, _resolve_run_config, dispatch
-from mmgcn.data import SynthConfig, load_dataset, window_at
+from mmgcn.data import Sample, SynthConfig, load_dataset, window_at
 from mmgcn.graphs import graph_bases
 from mmgcn.layers import feature_covariances, init_network_params, network_forward
 from mmgcn.regularization import RegularizerConfig
@@ -223,8 +223,10 @@ class TestAnalyze:
         # the covariance the analysis computed
         covariances = []
 
-        def spy(*args):
-            covariances.append(feature_covariances(*args))
+        def spy(samples, *args):
+            # the test samples themselves, read one chunk at a time, not a stack
+            assert isinstance(samples, list) and isinstance(samples[0], Sample)
+            covariances.append(feature_covariances(samples, *args))
             return covariances[-1]
 
         monkeypatch.setattr(layers, "feature_covariances", spy)

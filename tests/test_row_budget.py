@@ -1,6 +1,8 @@
-"""``layers.ROW_BUDGET``: every multi-window pass runs in chunks of at most
-``max(1, ROW_BUDGET // V)`` windows, and the chunking changes predictions and
-losses by no more than rounding, and gradients by no more than 1e-12.
+"""``layers.ROW_BUDGET`` and ``layers.TRAIN_ROW_BUDGET``: every multi-window
+pass runs in chunks of at most ``max(1, budget // V)`` windows, the training
+budget for ``batch_loss`` and the other for forward-only passes, and the
+chunking changes predictions and losses by no more than rounding, and
+gradients by no more than 1e-12.
 
 Over sparse bases (CSR products, one column at a time) every chunking gives
 the same bits.  A dense basis is one BLAS product whose width is the chunk's
@@ -8,6 +10,7 @@ window count times f; OpenBLAS handles narrow remainders with other kernels,
 which may round differently, about 1e-15 relative.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 from mmgcn import data as D
 from mmgcn import graphs, layers
 from mmgcn import training as T
+from mmgcn.metrics import stack_targets
 from mmgcn.regularization import RegularizerConfig
 
 from conftest import pack_grads, random_graph, ring_with_chords
@@ -75,11 +79,12 @@ def run_loss(x, y, bases, params):
 def test_batch_loss_does_not_depend_on_chunking(monkeypatch, sparse, per_vertex_bias):
     bases, params, x, y = mixed_problem(sparse, per_vertex_bias)
     v = x.shape[1]
-    assert WINDOWS * v <= layers.ROW_BUDGET  # the default budget keeps the batch whole
+    assert WINDOWS * v <= layers.TRAIN_ROW_BUDGET  # the default budget keeps the batch whole
     whole = run_loss(x, y, bases, params)
     # 3-window chunks: 3, 3 and a short 1
-    monkeypatch.setattr(layers, "ROW_BUDGET", 3 * v + 1)
-    assert [rows for rows, *_ in layers._forward_chunks(x, bases, params)] == [
+    monkeypatch.setattr(layers, "TRAIN_ROW_BUDGET", 3 * v + 1)
+    assert [rows for rows, *_ in layers._forward_chunks(x, bases, params,
+                                                         layers.TRAIN_ROW_BUDGET)] == [
         slice(0, 3), slice(3, 6), slice(6, 9)]
     loss, sq_errors, grads = run_loss(x, y, bases, params)
     assert_same(loss, whole[0], sparse)
@@ -125,6 +130,19 @@ def test_feature_covariances_match_np_cov(monkeypatch, sparse):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_feature_covariances_read_samples_as_their_stacked_inputs(monkeypatch, sparse):
+    bases, params, x, y = mixed_problem(sparse)
+    v = x.shape[1]
+    samples = as_samples(x, y)
+    for budget in (layers.ROW_BUDGET, 3 * v):  # one chunk, then chunks of 3, 3 and 1
+        monkeypatch.setattr(layers, "ROW_BUDGET", budget)
+        got = layers.feature_covariances(samples, bases, params)
+        want = layers.feature_covariances(np.stack([s.input for s in samples]), bases, params)
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g, w)
+
+
 def test_predict_batches_rejects_no_samples():
     bases, params, _, _ = mixed_problem(False)
     with pytest.raises(ValueError):
@@ -153,6 +171,7 @@ def passes(x, y, bases, params):
         lambda: layers.predict_batches(samples, bases, params),
         lambda: layers.network_forward_hidden(x, bases, params),
         lambda: layers.feature_covariances(x, bases, params),
+        lambda: layers.feature_covariances(samples, bases, params),
     )
 
 
@@ -161,6 +180,7 @@ def test_no_pass_exceeds_the_budget(monkeypatch, forward_rows, budget):
     bases, params, x, y = mixed_problem(False)
     v = x.shape[1]
     monkeypatch.setattr(layers, "ROW_BUDGET", budget)
+    monkeypatch.setattr(layers, "TRAIN_ROW_BUDGET", budget)
     bound = max(budget, v)
     for call in passes(x, y, bases, params):
         forward_rows.clear()
@@ -173,10 +193,38 @@ def test_default_budget_splits_a_wide_batch(forward_rows):
     bases, params, x, y = mixed_problem(True)
     v = x.shape[1]
     x, y = np.tile(x, (5, 1, 1)), np.tile(y, (5, 1))  # 35 windows of V=90: 3150 rows
-    for call in passes(x, y, bases, params):
+    training = [12 * v, 12 * v, 11 * v]  # 1152 // 90 = 12 windows, twice, then the rest
+    forward_only = [22 * v, 13 * v]  # 2048 // 90 = 22 windows, then the rest
+    for idx, call in enumerate(passes(x, y, bases, params)):
         forward_rows.clear()
         call()
-        assert forward_rows == [22 * v, 13 * v]  # 2048 // 90 = 22 windows, then the rest
+        assert forward_rows == (training if idx < 2 else forward_only)  # batch_loss first
+
+
+def test_training_budget_lowers_a_wide_steps_peak(monkeypatch):
+    """A 32-window step on a 16x16 city with the default network runs in
+    4-window chunks; each keeps its propagated stacks until its backward
+    pass, so it peaks well below the 8-window chunks of the forward budget."""
+    ds = D.generate_synthetic(D.SynthConfig(16, 16, weeks=2, seed=3))
+    samples = D.make_windows(ds.series)[:32]
+    x = np.stack([s.input for s in samples])
+    y = stack_targets(samples)
+    specs = layers.make_layer_specs(["ggcn", "ggcn", "mrgcn", "mrgcn"], 5, [32, 64, 32, 1])
+    params = layers.init_network_params(layers.NetworkConfig(3, 4, specs), 0)
+    bases = graphs.graph_bases(ds.graphs, 4)
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            layers.batch_loss(x, y, bases, params, REG, with_grads=True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    training = traced_peak()
+    monkeypatch.setattr(layers, "TRAIN_ROW_BUDGET", layers.ROW_BUDGET)
+    forward_budget = traced_peak()
+    assert training <= 0.85 * forward_budget
 
 
 def test_training_passes_stay_within_the_budget(monkeypatch, forward_rows):
@@ -188,6 +236,7 @@ def test_training_passes_stay_within_the_budget(monkeypatch, forward_rows):
     v = ds.series.vertex_count
     # a 32-window batch is 512 rows; 100 rows make 6-window chunks
     monkeypatch.setattr(layers, "ROW_BUDGET", 100)
+    monkeypatch.setattr(layers, "TRAIN_ROW_BUDGET", 100)
     specs = layers.make_layer_specs(["ggcn", "mrgcn"], 5, [8, 1])
     result = T.train(splits, ds.graphs, layers.NetworkConfig(3, 2, specs),
                      T.TrainConfig(learning_rate=1e-2, max_epochs=1, seed=0))
