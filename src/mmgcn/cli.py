@@ -228,7 +228,7 @@ def _cmd_evaluate(config_path, out_dir) -> int:
 
 def _cmd_predict(config_path, out_dir, target_index: int) -> int:
     _, dataset, state, bases = _load_run(config_path, out_dir)
-    sample = D.window_at(dataset.series, target_index)
+    sample = D.Sample(dataset.series, target_index)
     prediction = L.predict_batches([sample], bases, state.params)[0]
     path = Path(out_dir) / f"prediction_{target_index}.csv"
     np.savetxt(path, prediction, delimiter=",", fmt="%.9g")

@@ -111,12 +111,6 @@ class Sample:
         return self.series.values[:, self.target_index : self.target_index + 1]
 
 
-def window_at(series: DemandSeries, t: int) -> Sample:
-    """The sample whose target is interval ``t``; its input reads only earlier
-    intervals, so ``t`` needs a full week of history."""
-    return Sample(series, t)
-
-
 def make_windows(series: DemandSeries) -> list:
     """One sample per target index from the first index with a full week of
     history; inputs only ever look backward."""

@@ -31,26 +31,16 @@ IDENTITY = "identity"
 # Smoothing floor under the square root of the prediction loss; keeps the
 # batch-RMSE objective differentiable at an exact fit.
 LOSS_SMOOTHING = 1e-12
-# Rows (one window at one vertex) per chunk of a multi-window pass.  Every
-# such call runs in chunks of max(1, budget // V) windows, so its activations
-# are bounded by the budget, not by the batch; a window's prediction reads
-# only its own input, so another chunking can move it by BLAS rounding at
-# most.  ROW_BUDGET bounds the forward-only passes.  TRAIN_ROW_BUDGET bounds
-# a training step, whose chunk keeps every layer's propagated stack until its
-# backward pass and so gets fewer rows: the fewest that keep a 6x6 city's
-# 32-window batch whole.  At V=256 a step then runs in 4-window chunks, whose
-# stacks are half a forward-only chunk's.  Measured on 2 cores, OpenBLAS at 2
-# threads: one 32-window V=256, K=4 training step's traced peak is 90.4 MB
-# unchunked, 24.9 MB at 2048 rows and 13.7 MB at 1152; the step took about
-# 5 % longer in process, but a whole V=256 training request was no slower.
-# With 5- or 6-window chunks (1280 or 1536 rows) about one training run in
-# eight peaked 5-7 MB above the others.  8-window chunks at V=36 made a step
-# 15 % slower, and a forward budget of 1152 or 1536 rows made a V=36
-# training request 3-14 % slower, with up to thirty times the minor page
-# faults (most likely because a smaller evaluation stack, once freed, leaves
-# glibc's mmap threshold lower).
-ROW_BUDGET = 2048
-TRAIN_ROW_BUDGET = 1152
+# Bytes of kernel operands per chunk of a multi-window pass.  A chunk is
+# max(1, CHUNK_BYTES // (V * 8 * floats)) windows, where floats counts each
+# layer's operand per (window, vertex) row (_chunk_floats), so what a chunk
+# holds is bounded in V, K and width, not by the batch.  A window's
+# prediction reads only its own input, so another chunking can move it by
+# BLAS rounding at most.  The budget gives the default network (K=4, widths
+# [32, 64, 32, 1]) 32 training and 56 forward-only windows at V=36, and 4
+# and 8 at V=256, the chunks measured best at those sizes (README, "Inside
+# the network"); any budget from 7,864,320 to 7,879,679 bytes does that.
+CHUNK_BYTES = 7_864_320  # 7.5 MiB
 
 
 @dataclass(frozen=True)
@@ -339,19 +329,39 @@ def _backward_batch(d_pred, caches, bases, params: NetworkParams):
     return grads
 
 
-def _forward_chunks(windows, bases, params: NetworkParams, budget: int,
-                   keep_caches=False, keep_hidden=False):
-    """Yield each chunk's slice of ``windows``, at most
-    ``max(1, budget // V)`` windows, with :func:`_forward_batch`'s
+def _chunk_floats(config: NetworkConfig, training: bool) -> int:
+    """Floats per (window, vertex) row of the kernel operands that one chunk
+    holds: each layer's propagated input, M*(K+1)*f1, or its input, M*f1,
+    when it contracts first.  A training chunk keeps every layer's operand
+    until its backward pass, so it counts their sum; a forward-only chunk
+    holds one at a time and counts the largest."""
+    m, kp1 = config.modalities, config.cheb_degree + 1
+    counts = []
+    for spec in config.layer_specs:
+        g = m * spec.out_dim if spec.kind == GGCN else spec.out_dim
+        counts.append(m * spec.in_dim * (kp1 if _propagates_input(spec.in_dim, g) else 1))
+    return sum(counts) if training else max(counts)
+
+
+def _forward_chunks(windows, bases, params: NetworkParams, keep_caches=False,
+                    keep_hidden=False):
+    """An iterator over ``windows`` in chunks sized by :data:`CHUNK_BYTES`,
+    yielding each chunk's slice with :func:`_forward_batch`'s
     ``(pred, caches, hidden)`` for the chunk.  ``windows`` is a (B, V, T)
     array, or a list of samples whose inputs are read only when their chunk
-    runs."""
+    runs.  No windows raise ``ValueError`` here, at the call, so a caller may
+    read its outputs' shape from the windows once this returns."""
+    if len(windows) == 0:
+        raise ValueError("a pass needs a nonempty batch of windows")
     stacked = isinstance(windows, np.ndarray)
-    step = max(1, budget // (windows.shape[1] if stacked else len(windows[0].target)))
-    for start in range(0, len(windows), step):
-        rows = slice(start, start + step)
+    v = windows.shape[1] if stacked else len(windows[0].target)
+    step = max(1, CHUNK_BYTES // (v * 8 * _chunk_floats(params.config, keep_caches)))
+
+    def run(rows):
         chunk = windows[rows] if stacked else np.stack([s.input for s in windows[rows]])
-        yield rows, *_forward_batch(chunk, bases, params, keep_caches, keep_hidden)
+        return rows, *_forward_batch(chunk, bases, params, keep_caches, keep_hidden)
+
+    return map(run, (slice(start, start + step) for start in range(0, len(windows), step)))
 
 
 def batch_loss(x_batch, y_batch, bases, params: NetworkParams, reg: RegularizerConfig,
@@ -364,18 +374,14 @@ def batch_loss(x_batch, y_batch, bases, params: NetworkParams, reg: RegularizerC
     ``sq_errors`` is given, the batch's sum of squared residuals is appended
     to it.
 
-    The batch runs in :data:`TRAIN_ROW_BUDGET` chunks.  The backward pass is linear
-    in its top gradient, so each chunk's pass runs against ``residual / n``
-    and the RMSE's ``1 / j0`` factor scales the sum once the whole residual is
-    known.
+    The batch runs in :data:`CHUNK_BYTES` chunks, training ones when
+    ``with_grads``.  The backward pass is linear in its top gradient, so each
+    chunk's pass runs against ``residual / n`` and the RMSE's ``1 / j0``
+    factor scales the sum once the whole residual is known.
     """
-    b, v = x_batch.shape[:2]
-    if b == 0:
-        raise ValueError("batch must be nonempty")
-    residual = np.empty((b, v))
+    residual = np.empty(x_batch.shape[:2])
     grads = None
-    for rows, pred, caches, _ in _forward_chunks(x_batch, bases, params, TRAIN_ROW_BUDGET,
-                                                   keep_caches=with_grads):
+    for rows, pred, caches, _ in _forward_chunks(x_batch, bases, params, keep_caches=with_grads):
         chunk = np.subtract(pred, y_batch[rows], out=residual[rows])
         if not with_grads:
             continue
@@ -411,12 +417,11 @@ def batch_loss(x_batch, y_batch, bases, params: NetworkParams, reg: RegularizerC
 
 
 def predict_batches(samples, bases, params: NetworkParams) -> np.ndarray:
-    """(N, V) predictions, run in :data:`ROW_BUDGET` chunks; each chunk's
+    """(N, V) predictions, run in :data:`CHUNK_BYTES` chunks; each chunk's
     windows are read from its samples only when it runs."""
-    if not samples:
-        raise ValueError("no samples to predict")
+    chunks = _forward_chunks(samples, bases, params)  # rejects an empty list
     preds = np.empty((len(samples), len(samples[0].target)))
-    for rows, pred, _, _ in _forward_chunks(samples, bases, params, ROW_BUDGET):
+    for rows, pred, _, _ in chunks:
         preds[rows] = pred
     return preds
 
@@ -464,12 +469,12 @@ def network_forward(x_window: np.ndarray, bases, params: NetworkParams) -> np.nd
 
 def network_forward_hidden(x_batch: np.ndarray, bases, params: NetworkParams):
     """(B, V) predictions plus each layer's post-activation features
-    (M, B, V, f), run in :data:`ROW_BUDGET` chunks."""
+    (M, B, V, f), run in :data:`CHUNK_BYTES` chunks."""
     b, v = x_batch.shape[:2]
     pred = np.empty((b, v))
     hidden = [np.empty((params.config.modalities, b, v, spec.out_dim))
               for spec in params.config.layer_specs]
-    for rows, chunk_pred, _, chunk_hidden in _forward_chunks(x_batch, bases, params, ROW_BUDGET,
+    for rows, chunk_pred, _, chunk_hidden in _forward_chunks(x_batch, bases, params,
                                                              keep_hidden=True):
         pred[rows] = chunk_pred
         for out, h in zip(hidden, chunk_hidden):
@@ -480,13 +485,13 @@ def network_forward_hidden(x_batch: np.ndarray, bases, params: NetworkParams):
 def feature_covariances(samples, bases, params: NetworkParams) -> list:
     """Each layer's per-modality (M, f, f) covariance of its post-activation
     features over the (window, vertex) rows of ``samples``, as ``np.cov``
-    gives it, from a pass in :data:`ROW_BUDGET` chunks: each chunk's mean and
+    gives it, from a pass in :data:`CHUNK_BYTES` chunks: each chunk's mean and
     centred scatter merge into the running ones (Chan, Golub & LeVeque 1979),
     so no layer's features outlive their chunk.  ``samples`` is a (B, V, T)
     array or a list of samples, whose inputs are read one chunk at a time, as
     in :func:`predict_batches`."""
     moments = [(0, 0.0, 0.0)] * len(params.layers)  # rows so far, mean, scatter
-    for _, _, _, hidden in _forward_chunks(samples, bases, params, ROW_BUDGET, keep_hidden=True):
+    for _, _, _, hidden in _forward_chunks(samples, bases, params, keep_hidden=True):
         for idx, h in enumerate(hidden):
             rows = h.reshape(h.shape[0], -1, h.shape[-1])
             n, mean = rows.shape[1], rows.mean(axis=1)

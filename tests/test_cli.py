@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -8,11 +11,14 @@ import pytest
 
 from mmgcn import layers
 from mmgcn.cli import VARIANTS, _resolve_run_config, dispatch
-from mmgcn.data import Sample, SynthConfig, load_dataset, window_at
+from mmgcn.data import Sample, SynthConfig, load_dataset
 from mmgcn.graphs import graph_bases
 from mmgcn.layers import feature_covariances, init_network_params, network_forward
 from mmgcn.regularization import RegularizerConfig
 from mmgcn.training import TrainConfig, init_train_state, load_checkpoint, save_checkpoint
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_json(path: Path, payload: dict) -> Path:
@@ -275,6 +281,39 @@ def test_pipeline_artifacts_bit_identical(tmp_path):
     assert Path("run/relationship_layer2.csv") in names
     for name in names:
         assert (first / name).read_bytes() == (work / name).read_bytes(), name
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    """``synth`` and ``train`` of the default network (GGCN_plus_MRGCN_4S, 2
+    epochs) on a 3x3 city write the same bytes with OpenBLAS at one thread
+    and at two; each command runs in a fresh process, the only one whose
+    environment sets the thread count."""
+    path = os.environ.get("PYTHONPATH")
+    src = os.pathsep.join([str(ROOT / "src")] + ([path] if path else []))
+    work = tmp_path / "work"  # one path for both, because run.json records it
+    runs = []
+    for threads in ("1", "2"):
+        work.mkdir()
+        synth = write_json(work / "synth.json", {
+            "grid_rows": 3, "grid_cols": 3, "weeks": 4, "seed": 2,
+            "drift_rate": 1.5, "noise_scale": 0.5,
+        })
+        config = write_json(work / "config.json", {
+            "manifest": "data/manifest.json", "variant": "GGCN_plus_MRGCN_4S",
+            "train": {"learning_rate": 1e-2, "max_epochs": 2, "seed": 0},
+        })
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        for command in (["synth", "--config", str(synth), "--out", str(work / "data")],
+                        ["train", "--config", str(config), "--out", str(work / "run")]):
+            done = subprocess.run([sys.executable, "-m", "mmgcn.cli", *command], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr[-4000:]
+        runs.append(work.rename(tmp_path / f"threads{threads}"))
+    names = [sorted(p.relative_to(run) for p in run.rglob("*") if p.is_file()) for run in runs]
+    assert names[0] == names[1]
+    assert Path("run/checkpoint.bin") in names[0]
+    for name in names[0]:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 def test_json_artifacts_are_strict(tmp_path):
@@ -554,7 +593,7 @@ def test_checkpoint_decides_the_basis(city3x3, tmp_path):
     written = np.loadtxt(run / "prediction_700.csv", delimiter=",")
     dataset = load_dataset(manifest)
     params = load_checkpoint(run).params
-    window = window_at(dataset.series, 700).input
+    window = Sample(dataset.series, 700).input
     chebyshev, power = (network_forward(window, graph_bases(dataset.graphs, 2, kind), params)
                         for kind in ("chebyshev", "power"))
     np.testing.assert_allclose(written, chebyshev[:, 0], rtol=1e-8, atol=0.0)

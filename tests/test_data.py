@@ -124,7 +124,7 @@ class TestWindowAt:
         samples = D.make_windows(self.SERIES)
         assert [s.target_index for s in samples] == list(range(336, 400))
         for sample in samples:
-            one = D.window_at(self.SERIES, sample.target_index)
+            one = D.Sample(self.SERIES, sample.target_index)
             assert one.target_index == sample.target_index
             assert np.array_equal(one.input, sample.input)
             assert np.array_equal(one.target, sample.target)
@@ -133,7 +133,7 @@ class TestWindowAt:
     def test_rejects_index_without_sample(self, t):
         with pytest.raises(ValueError, match=rf"target index {t} has no sample "
                                              r"\(valid range \[336, 399\]\)"):
-            D.window_at(self.SERIES, t)
+            D.Sample(self.SERIES, t)
 
 
 class TestSplitDataset:

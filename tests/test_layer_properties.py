@@ -16,7 +16,7 @@ with a few chords on 80-120 vertices, sparse enough that every basis takes
 the CSR path, and check the same properties there.  The ``test_factored_*``
 twins draw POI similarity graphs of 1-4 categories on 80-120 vertices, some
 regions without POIs, so that every basis takes the low-rank path.  The gradient check also
-runs on batches that ``layers.TRAIN_ROW_BUDGET`` splits into chunks.
+runs on batches that ``layers.CHUNK_BYTES`` splits into training chunks.
 """
 
 import numpy as np
@@ -210,6 +210,7 @@ def test_chunked_gradients_match_finite_differences(kind, propagate_first, data)
     # five windows in chunks of two: two whole chunks and a short one
     bases, params, x, y = draw_problem(data, kind, propagate_first, batch=5)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(layers, "TRAIN_ROW_BUDGET", 2 * x.shape[1])
-        assert len(list(layers._forward_chunks(x, bases, params, layers.TRAIN_ROW_BUDGET))) == 3
+        patch.setattr(layers, "CHUNK_BYTES",
+                      2 * x.shape[1] * 8 * layers._chunk_floats(params.config, True))
+        assert len(list(layers._forward_chunks(x, bases, params, keep_caches=True))) == 3
         check_gradients(bases, params, x, y)
