@@ -3,17 +3,18 @@
 Three relationships are built from raw region data: grid neighborhood,
 POI-category cosine similarity, and long-range road connectivity with
 neighborhood edges removed.  All adjacency matrices are dense, symmetric,
-nonnegative, and zero on the diagonal.  The POI similarity graph also carries
-its Gram factor, the unit POI vectors, from which its basis applies the
-Laplacian as a diagonal minus a rank-P product.  A graph holds read-only
-copies of its arrays, so it cannot be changed after it is validated.  Graphs
-and bases are immutable after construction and safe to share across threads.
+nonnegative, and zero on the diagonal.  The POI similarity graph is given by
+its Gram factor, the unit POI vectors, from which it derives its adjacency and
+its basis applies the Laplacian as a diagonal minus a rank-P product.  A graph
+holds read-only copies of its arrays, so it cannot be changed after it is
+validated.  Graphs and bases are immutable after construction and safe to
+share across threads.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -25,26 +26,32 @@ POWER_BASIS = "power"
 CHEBYSHEV_BASIS = "chebyshev"
 
 
-# A Gram factor F matches its adjacency when offdiag(F F^T) differs from it by
-# at most this much, relative to the largest |f_i|^2 (which bounds |f_i . f_j|).
-GRAM_RTOL = 1e-12
-
-
 @dataclass(frozen=True)
 class RelationGraph:
-    """One modality's weighted adjacency over the shared vertex set.
+    """One modality's weighted adjacency over the shared vertex set, given
+    either as ``adjacency`` or as ``gram_factor``, exactly one of them.
 
-    ``gram_factor``, if given, is a V x P matrix F whose Gram matrix F F^T,
-    with its diagonal zeroed, is the adjacency.  The graph keeps read-only
-    copies of both arrays.
+    A Gram factor is a V x P matrix F; the adjacency is then its Gram matrix
+    F F^T, symmetrized, with the diagonal zeroed.  The graph keeps read-only
+    copies of its arrays.
     """
 
     modality_id: str
-    adjacency: np.ndarray
+    adjacency: np.ndarray | None = None
     gram_factor: np.ndarray | None = None
 
     def __post_init__(self):
-        adj = np.array(self.adjacency, dtype=float)
+        if (self.adjacency is None) == (self.gram_factor is None):
+            raise ValueError(f"{self.modality_id}: give exactly one of an adjacency and "
+                             "a Gram factor")
+        if self.gram_factor is None:
+            adj = np.array(self.adjacency, dtype=float)
+        else:
+            factor = self._checked_factor()
+            object.__setattr__(self, "gram_factor", factor)
+            adj = factor @ factor.T
+            adj = (adj + adj.T) / 2.0
+            np.fill_diagonal(adj, 0.0)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
         if not np.isfinite(adj).all():
@@ -57,24 +64,14 @@ class RelationGraph:
             raise ValueError("adjacency must be symmetric")
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
-        if self.gram_factor is not None:
-            object.__setattr__(self, "gram_factor", self._checked_factor())
 
     def _checked_factor(self) -> np.ndarray:
         factor = np.array(self.gram_factor, dtype=float)
-        n = self.adjacency.shape[0]
-        if factor.ndim != 2 or factor.shape[0] != n or factor.shape[1] < 1:
-            raise ValueError(f"{self.modality_id}: Gram factor must be {n} x P with P >= 1, "
+        if factor.ndim != 2 or factor.shape[1] < 1:
+            raise ValueError(f"{self.modality_id}: Gram factor must be V x P with P >= 1, "
                              f"got shape {factor.shape}")
         if not np.isfinite(factor).all():
             raise ValueError(f"{self.modality_id}: Gram factor contains non-finite entries")
-        gram = factor @ factor.T
-        scale = np.diagonal(gram).max(initial=0.0)
-        np.fill_diagonal(gram, 0.0)
-        error = np.abs(gram - self.adjacency).max(initial=0.0)
-        if error > GRAM_RTOL * scale:
-            raise ValueError(f"{self.modality_id}: the off-diagonal Gram matrix of the factor "
-                             f"differs from the adjacency by {error:.3g}")
         factor.setflags(write=False)
         return factor
 
@@ -106,17 +103,19 @@ LOW_RANK_RATIO = 16
 
 @dataclass(frozen=True)
 class LaplacianBasis:
-    """The polynomial [B_0 .. B_K] of the step matrix B_1 that the graph
+    """The polynomial [B_0 .. B_K] of a graph's Laplacian L that the graph
     convolution sums over, applied by :meth:`spread` and :meth:`gather`.
 
     ``kind = "power"`` takes B_a = L^a (B_1 = L, B_a = B_{a-1} B_1);
     ``kind = "chebyshev"`` takes Chebyshev polynomials T_a(L - I) of the
     rescaled Laplacian (B_1 = L - I, B_a = 2 B_1 B_{a-1} - B_{a-2}).  Either way
-    B_0 = I, which is applied as a copy.  ``step`` must be exactly symmetric,
-    so every B_a is its own transpose, and the backward pass applies the same
-    :meth:`spread` and :meth:`gather` as the forward pass.  ``low_rank``, if
-    given, is a pair (d, Y) with ``step`` = diag(d) - Y Y^T up to rounding, as
-    :func:`graph_bases` derives it from a graph's Gram factor.
+    B_0 = I, which is applied as a copy.  ``step`` holds B_1.  L must be
+    exactly symmetric, so every B_a is its own transpose, and the backward
+    pass applies the same :meth:`spread` and :meth:`gather` as the forward
+    pass.  ``low_rank``, if given, is a pair (d, Y) with L = diag(d) - Y Y^T
+    up to rounding, as :func:`graph_bases` derives it from a graph's Gram
+    factor; the basis holds it shifted like ``step``, as B_1's (d - 1, Y) for
+    Chebyshev.
 
     The representation is chosen once, here.  A step matrix with at most
     V^2 / ``SPARSE_FILL`` nonzeros is held as CSR (``sparse``); otherwise a
@@ -129,28 +128,35 @@ class LaplacianBasis:
     stack's transpose.  Every array is read-only.
     """
 
-    step: np.ndarray
+    laplacian: InitVar[np.ndarray]
     degree: int
     kind: str = POWER_BASIS
     low_rank: tuple | None = field(default=None, repr=False, compare=False)
+    step: np.ndarray = field(init=False)
     sparse: bool = field(init=False)
     factored: bool = field(init=False)
     _csr: object = field(init=False, repr=False, compare=False)
     _row_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, laplacian):
         if self.degree < 0:
             raise ValueError(f"polynomial degree must be >= 0, got {self.degree}")
         if self.kind not in (POWER_BASIS, CHEBYSHEV_BASIS):
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        step = np.array(self.step, dtype=float)
+        step = np.array(laplacian, dtype=float)
         n = step.shape[0]
         if step.shape != (n, n):
-            raise ValueError(f"step matrix must be square, got shape {step.shape}")
+            raise ValueError(f"Laplacian must be square, got shape {step.shape}")
         if not np.array_equal(step, step.T):
-            raise ValueError("step matrix must be symmetric")
-        step.setflags(write=False)
-        low_rank = None if self.low_rank is None else _read_only_low_rank(self.low_rank, n)
+            raise ValueError("Laplacian must be symmetric")
+        low_rank = None if self.low_rank is None else _checked_low_rank(self.low_rank, n)
+        if self.kind == CHEBYSHEV_BASIS:
+            step -= np.eye(n)
+            if low_rank is not None:
+                diagonal, _ = low_rank
+                diagonal -= 1.0
+        for arr in (step,) + (low_rank or ()):
+            arr.setflags(write=False)
         sparse = bool(np.count_nonzero(step) * SPARSE_FILL <= n * n)
         factored = (not sparse and low_rank is not None
                     and n >= LOW_RANK_RATIO * low_rank[1].shape[1])
@@ -230,13 +236,11 @@ class LaplacianBasis:
         return acc.reshape(v * b, f)
 
 
-def _read_only_low_rank(low_rank, n: int) -> tuple:
+def _checked_low_rank(low_rank, n: int) -> tuple:
     diagonal, factor = (np.array(arr, dtype=float) for arr in low_rank)
     if diagonal.shape != (n,) or factor.ndim != 2 or factor.shape[0] != n or factor.shape[1] < 1:
         raise ValueError(f"low-rank form must be a ({n},) diagonal and a {n} x P factor with "
                          f"P >= 1, got shapes {diagonal.shape} and {factor.shape}")
-    for arr in (diagonal, factor):
-        arr.setflags(write=False)
     return diagonal, factor
 
 
@@ -259,14 +263,17 @@ def build_poi_similarity(poi: np.ndarray) -> RelationGraph:
 
     The diagonal (self-similarity) is zeroed; a region with an all-zero POI
     vector gets a zeroed row/column and a warning instead of an error.  The
-    unit POI vectors (a zero row for such a region) are the graph's Gram
-    factor.
+    graph is given by its Gram factor, the unit POI vectors (a zero row for
+    such a region).  A negative or non-finite count is an error naming its row.
     """
     poi = np.asarray(poi, dtype=float)
     if poi.ndim != 2 or poi.shape[1] < 1:
         raise ValueError(f"POI matrix must be |V| x P with P >= 1, got shape {poi.shape}")
-    if (poi < 0).any():
-        raise ValueError("POI counts must be nonnegative")
+    valid = (poi >= 0.0) & (poi < np.inf)  # NaN fails both
+    if not valid.all():
+        row, col = np.argwhere(~valid)[0]
+        raise ValueError(f"POI counts must be finite and nonnegative, "
+                         f"row {row} holds {float(poi[row, col])!r}")
     norms = np.linalg.norm(poi, axis=1)
     degenerate = norms == 0.0
     if degenerate.any():
@@ -276,11 +283,7 @@ def build_poi_similarity(poi: np.ndarray) -> RelationGraph:
             stacklevel=2,
         )
     safe = np.where(degenerate, 1.0, norms)
-    unit = poi / safe[:, None]
-    adjacency = unit @ unit.T
-    adjacency = (adjacency + adjacency.T) / 2.0
-    np.fill_diagonal(adjacency, 0.0)
-    return RelationGraph(POI_SIMILARITY, adjacency, gram_factor=unit)
+    return RelationGraph(POI_SIMILARITY, gram_factor=poi / safe[:, None])
 
 
 def build_road_connectivity(conn: np.ndarray, neighborhood: RelationGraph) -> RelationGraph:
@@ -328,40 +331,28 @@ def _laplacian_low_rank(g: RelationGraph) -> tuple:
     return 1.0 + np.square(factor).sum(axis=1), factor
 
 
-def laplacian_basis(lap: np.ndarray, degree: int, kind: str = POWER_BASIS,
-                    low_rank: tuple | None = None) -> LaplacianBasis:
-    """Matrices the convolution sums over: L^a, or Chebyshev polynomials of
-    the rescaled L - I when ``kind = "chebyshev"``.  ``low_rank`` = (d, Y)
-    with L = diag(d) - Y Y^T is shifted the same way."""
-    lap = np.asarray(lap, dtype=float)
-    if kind == CHEBYSHEV_BASIS:
-        lap = lap - np.eye(lap.shape[0])
-        if low_rank is not None:
-            low_rank = (low_rank[0] - 1.0, low_rank[1])
-    return LaplacianBasis(lap, degree, kind, low_rank)
-
-
 def graph_bases(graph_list, degree: int, kind: str = POWER_BASIS) -> list:
     """One Laplacian basis per modality graph, in modality order; a graph
     with a Gram factor passes its Laplacian's low-rank form along."""
-    return [laplacian_basis(normalized_laplacian(g), degree, kind,
-                            None if g.gram_factor is None else _laplacian_low_rank(g))
+    return [LaplacianBasis(normalized_laplacian(g), degree, kind,
+                           None if g.gram_factor is None else _laplacian_low_rank(g))
             for g in graph_list]
 
 
-def _edge_set(adjacency: np.ndarray, threshold: float) -> set:
-    rows, cols = np.nonzero(np.triu(adjacency, k=1) > threshold)
-    return set(zip(rows.tolist(), cols.tolist()))
+def _edges(adjacency: np.ndarray, threshold: float) -> np.ndarray:
+    """The edges above ``threshold``, as a boolean mask of the strict upper
+    triangle."""
+    if threshold < 0:
+        raise ValueError("threshold must be nonnegative")
+    return np.triu(adjacency, k=1) > threshold
 
 
 def graph_density(g: RelationGraph, threshold: float = 0.0) -> float:
     """2|E| / (|V| (|V|-1)) with edges binarized at ``threshold``."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
     n = g.vertex_count
     if n < 2:
         raise ValueError("density is undefined for graphs with fewer than 2 vertices")
-    edges = len(_edge_set(g.adjacency, threshold))
+    edges = int(np.count_nonzero(_edges(g.adjacency, threshold)))
     return 2.0 * edges / (n * (n - 1))
 
 
@@ -378,10 +369,8 @@ def compare_graphs(g1: RelationGraph, g2: RelationGraph, threshold: float = 0.0)
         raise ValueError(
             f"vertex counts differ: {g1.vertex_count} vs {g2.vertex_count}"
         )
-    e1 = _edge_set(g1.adjacency, threshold)
-    e2 = _edge_set(g2.adjacency, threshold)
-    if not e1 and not e2:
-        f_measure = 1.0
-    else:
-        f_measure = 2.0 * len(e1 & e2) / (len(e1) + len(e2))
-    return GraphComparison(f_measure, len(e1 ^ e2))
+    e1 = _edges(g1.adjacency, threshold)
+    e2 = _edges(g2.adjacency, threshold)
+    total = int(np.count_nonzero(e1)) + int(np.count_nonzero(e2))
+    f_measure = 1.0 if total == 0 else 2.0 * int(np.count_nonzero(e1 & e2)) / total
+    return GraphComparison(f_measure, int(np.count_nonzero(e1 ^ e2)))

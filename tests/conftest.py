@@ -50,7 +50,7 @@ def poi_like(rng, n, categories, modality="custom"):
     counts[rng.choice(n, max(1, n // 10), replace=False)] = 0.0
     with pytest.warns(UserWarning, match="zero POI vectors"):
         poi = graphs.build_poi_similarity(counts)
-    return graphs.RelationGraph(modality, poi.adjacency, poi.gram_factor)
+    return graphs.RelationGraph(modality, gram_factor=poi.gram_factor)
 
 
 def tiny_network(rng_seed=0, vertices=3, modalities=2, degree=1, kinds=("ggcn", "mrgcn"),

@@ -487,6 +487,22 @@ def test_interval_minutes_named(city3x3, tmp_path, capsys, command, make_config,
     assert not out.exists()
 
 
+def test_non_finite_poi_count_exits_2_naming_file_and_row(city3x3, tmp_path, capsys):
+    data = shutil.copytree(city3x3, tmp_path / "data")
+    rows = (data / "poi.csv").read_text().splitlines()
+    rows[2] = "nan," + rows[2].split(",", 1)[1]
+    (data / "poi.csv").write_text("\n".join(rows) + "\n")
+    config = write_json(tmp_path / "run.json", {
+        "manifest": str(data / "manifest.json"),
+        "network": {"output_dims": [2, 1], "cheb_degree": 1}, "train": {"max_epochs": 1},
+    })
+    out = tmp_path / "run"
+    assert dispatch(["train", "--config", str(config), "--out", str(out)]) == 2
+    assert (f"{data / 'poi.csv'}: POI counts must be finite and nonnegative, row 2 holds nan"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def run3x3(city3x3, tmp_path_factory):
     """A one-epoch run on the 3x3 city; returns its config and run directory."""

@@ -1,13 +1,17 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmgcn import graphs, layers
 from mmgcn.data import SynthConfig, generate_synthetic, make_windows
@@ -17,6 +21,7 @@ from mmgcn.graphs import (
     POI_SIMILARITY,
     POWER_BASIS,
     ROAD_CONNECTIVITY,
+    LaplacianBasis,
     RelationGraph,
     build_neighborhood,
     build_poi_similarity,
@@ -24,7 +29,6 @@ from mmgcn.graphs import (
     compare_graphs,
     graph_bases,
     graph_density,
-    laplacian_basis,
     normalized_laplacian,
 )
 
@@ -58,17 +62,28 @@ class TestRelationGraph:
             RelationGraph("bad", np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_arrays_are_read_only_copies(self):
+        adjacency = np.array([[0.0, 2.0], [2.0, 0.0]])
         unit = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
-        adjacency = unit @ unit.T
-        np.fill_diagonal(adjacency, 0.0)
-        g = RelationGraph("custom", adjacency, gram_factor=unit)
-        for array in (g.adjacency, g.gram_factor):
+        by_adjacency = RelationGraph("custom", adjacency)
+        by_factor = RelationGraph("custom", gram_factor=unit)
+        assert by_adjacency.gram_factor is None
+        for array in (by_adjacency.adjacency, by_factor.adjacency, by_factor.gram_factor):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 1] = 5.0
         before_adjacency, before_factor = adjacency.copy(), unit.copy()
-        adjacency[0, 1] = unit[0, 1] = 5.0
-        np.testing.assert_array_equal(g.adjacency, before_adjacency)
-        np.testing.assert_array_equal(g.gram_factor, before_factor)
+        adjacency[0, 1] = unit[0, 1] = 5.0  # the caller's arrays stay writable
+        np.testing.assert_array_equal(by_adjacency.adjacency, before_adjacency)
+        np.testing.assert_array_equal(by_factor.gram_factor, before_factor)
+
+    def test_factor_gives_offdiagonal_symmetrized_gram(self):
+        factor = np.random.default_rng(0).uniform(0.0, 1.0, (7, 3))
+        gram = factor @ factor.T
+        expected = (gram + gram.T) / 2.0
+        np.fill_diagonal(expected, 0.0)
+        g = RelationGraph("custom", gram_factor=factor)
+        assert g.vertex_count == 7
+        np.testing.assert_array_equal(g.adjacency, expected)
+        np.testing.assert_array_equal(g.gram_factor, factor)
 
     def test_city_graphs_are_read_only(self):
         for g in generate_synthetic(SynthConfig(3, 3, 2, seed=1)).graphs:
@@ -76,18 +91,20 @@ class TestRelationGraph:
                 g.adjacency[0, 1] = 5.0
             assert np.array_equal(g.adjacency, g.adjacency.T)
 
-    def test_rejects_factor_that_does_not_match(self):
+    def test_rejects_both_or_neither_and_bad_factors(self):
         unit = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
-        adjacency = unit @ unit.T
-        np.fill_diagonal(adjacency, 0.0)
-        RelationGraph("poi", adjacency * (1.0 + 1e-14), gram_factor=unit)  # rounding
-        for bad in (adjacency * (1.0 + 1e-9), np.zeros((3, 3))):
-            with pytest.raises(ValueError, match="poi: .*Gram"):
-                RelationGraph("poi", bad, gram_factor=unit)
-        with pytest.raises(ValueError, match="poi: Gram factor must be 3 x P"):
-            RelationGraph("poi", adjacency, gram_factor=unit[:2])
+        adjacency = RelationGraph("poi", gram_factor=unit).adjacency
+        for arrays in ({"adjacency": adjacency, "gram_factor": unit}, {}):
+            with pytest.raises(ValueError, match="poi: give exactly one of an adjacency and "
+                                                 "a Gram factor"):
+                RelationGraph("poi", **arrays)
+        for bad in (unit[0], np.zeros((3, 0))):
+            with pytest.raises(ValueError, match="poi: Gram factor must be V x P"):
+                RelationGraph("poi", gram_factor=bad)
         with pytest.raises(ValueError, match="poi: .*non-finite"):
-            RelationGraph("poi", adjacency, gram_factor=np.full((3, 2), np.nan))
+            RelationGraph("poi", gram_factor=np.full((3, 2), np.nan))
+        with pytest.raises(ValueError, match="nonnegative"):
+            RelationGraph("poi", gram_factor=np.array([[1.0], [-1.0]]))
 
 
 class TestBuildNeighborhood:
@@ -143,6 +160,17 @@ class TestBuildPoiSimilarity:
     def test_factor_is_unit_poi_vectors(self):
         g = build_poi_similarity(np.array([[3.0, 4.0], [2.0, 0.0], [1.0, 1.0]]))
         np.testing.assert_allclose(g.gram_factor, [[0.6, 0.8], [1.0, 0.0], [0.5**0.5] * 2])
+
+    @pytest.mark.parametrize("bad,shown", [(math.nan, "nan"), (math.inf, "inf"),
+                                           (-1.0, "-1.0")])
+    def test_rejects_bad_count_naming_its_row(self, bad, shown):
+        poi = np.ones((3, 2))
+        poi[1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                build_poi_similarity(poi)
+        assert str(err.value) == f"POI counts must be finite and nonnegative, row 1 holds {shown}"
 
     @pytest.mark.parametrize("kind", [POWER_BASIS, CHEBYSHEV_BASIS])
     def test_zero_row_keeps_zero_factor_row_without_runtime_warning(self, kind):
@@ -231,43 +259,57 @@ class TestNormalizedLaplacian:
 
 class TestLaplacianBasis:
     def test_degree_zero(self):
-        basis = laplacian_basis(np.array([[0.5]]), 0)
+        basis = LaplacianBasis(np.array([[0.5]]), 0)
         assert basis.degree == 0
         np.testing.assert_array_equal(applied_terms(basis)[0], np.eye(1))
 
     def test_identity_powers(self):
-        basis = laplacian_basis(np.eye(3), 3)
+        basis = LaplacianBasis(np.eye(3), 3)
         for mat in applied_terms(basis):
             np.testing.assert_array_equal(mat, np.eye(3))
 
     def test_explicit_square(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        terms = applied_terms(laplacian_basis(lap, 2))
+        terms = applied_terms(LaplacianBasis(lap, 2))
         np.testing.assert_array_equal(terms[1], lap)
         np.testing.assert_allclose(terms[2], [[2.0, -2.0], [-2.0, 2.0]])
 
     def test_power_recurrence(self):
         rng = np.random.default_rng(2)
         lap = normalized_laplacian(random_graph(rng, 6))
-        terms = applied_terms(laplacian_basis(lap, 4))
+        terms = applied_terms(LaplacianBasis(lap, 4))
         for alpha in range(1, 5):
             np.testing.assert_allclose(terms[alpha], terms[alpha - 1] @ terms[1], atol=1e-9)
 
     def test_chebyshev_recurrence(self):
         rng = np.random.default_rng(3)
         lap = normalized_laplacian(random_graph(rng, 5))
-        terms = applied_terms(laplacian_basis(lap, 3, CHEBYSHEV_BASIS))
+        terms = applied_terms(LaplacianBasis(lap, 3, CHEBYSHEV_BASIS))
         rescaled = lap - np.eye(5)
         np.testing.assert_allclose(terms[1], rescaled)
         np.testing.assert_allclose(terms[3], 2 * rescaled @ terms[2] - terms[1], atol=1e-12)
 
+    def test_chebyshev_shifts_laplacian_and_low_rank_diagonal(self):
+        # the 16x16 city's POI graph, whose basis is factored
+        g = generate_synthetic(SynthConfig(16, 16, 2, seed=5)).graphs[1]
+        lap = normalized_laplacian(g)
+        diagonal, factor = graphs._laplacian_low_rank(g)
+        for kind, shift in ((POWER_BASIS, 0.0), (CHEBYSHEV_BASIS, 1.0)):
+            basis = LaplacianBasis(lap, 2, kind, (diagonal, factor))
+            assert basis.factored
+            np.testing.assert_array_equal(basis.step, lap - shift * np.eye(256))
+            np.testing.assert_array_equal(basis.low_rank[0], diagonal - shift)
+            np.testing.assert_array_equal(basis.low_rank[1], factor)
+            for array in (basis.step, *basis.low_rank):
+                assert not array.flags.writeable
+
     def test_negative_degree(self):
         with pytest.raises(ValueError):
-            laplacian_basis(np.eye(2), -1)
+            LaplacianBasis(np.eye(2), -1)
 
     def test_rejects_asymmetric_step(self):
         with pytest.raises(ValueError, match="symmetric"):
-            laplacian_basis(np.array([[1.0, -0.5], [-0.25, 1.0]]), 1)
+            LaplacianBasis(np.array([[1.0, -0.5], [-0.25, 1.0]]), 1)
 
 
 class TestBasisRepresentation:
@@ -312,7 +354,7 @@ class TestBasisRepresentation:
         rng = np.random.default_rng(degree)
         graph = (ring_with_chords(rng, 90, 3) if sparse
                  else random_graph(rng, 90, density=0.3))
-        basis = laplacian_basis(normalized_laplacian(graph), degree, kind)
+        basis = LaplacianBasis(normalized_laplacian(graph), degree, kind)
         assert basis.sparse == sparse
         assert not basis.factored
         self.assert_spread_and_gather_match_powers(basis, rng)
@@ -458,6 +500,59 @@ class TestGraphStatistics:
     def test_compare_dimension_mismatch(self):
         with pytest.raises(ValueError):
             compare_graphs(self._graph_from_edges(3, []), self._graph_from_edges(4, []))
+
+    def test_negative_threshold_rejected(self):
+        # at -0.5 every pair, zero weights included, would count as an edge
+        g, empty = build_neighborhood(3, 3), RelationGraph("r", np.zeros((9, 9)))
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            graph_density(g, -0.5)
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            compare_graphs(g, empty, -0.5)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_statistics_match_edge_sets(self, data):
+        n = data.draw(st.integers(2, 12), label="vertices")
+        pairs = list(itertools.combinations(range(n), 2))
+        weights = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+                           min_size=len(pairs), max_size=len(pairs))
+
+        def graph(label):
+            upper = np.zeros((n, n))
+            upper[np.triu_indices(n, 1)] = data.draw(weights, label=label)
+            return RelationGraph("custom", upper + upper.T)
+
+        g1, g2 = graph("g1"), graph("g2")
+        threshold = data.draw(st.sampled_from([0.0, 0.25, 0.3, 1.0, 5.0]), label="threshold")
+
+        def edge_set(g):
+            return {(i, j) for i, j in pairs if g.adjacency[i, j] > threshold}
+
+        e1, e2 = edge_set(g1), edge_set(g2)
+        density = graph_density(g1, threshold)
+        assert type(density) is float
+        assert density == 2.0 * len(e1) / (n * (n - 1))
+        result = compare_graphs(g1, g2, threshold)
+        assert type(result.f_measure) is float and type(result.edit_distance) is int
+        assert result.f_measure == (2.0 * len(e1 & e2) / (len(e1) + len(e2))
+                                    if e1 or e2 else 1.0)
+        assert result.edit_distance == len(e1 ^ e2)
+
+    def test_statistics_of_a_1024_vertex_city_stay_small(self):
+        # three densities and three pairs of the 32x32 city; a statistic
+        # holds the upper triangle of an adjacency (8 MB) and a few boolean
+        # masks (1 MB each)
+        city = generate_synthetic(SynthConfig(32, 32, 2, seed=1)).graphs
+        tracemalloc.start()
+        try:
+            for g in city:
+                graph_density(g)
+            for g1, g2 in itertools.combinations(city, 2):
+                compare_graphs(g1, g2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 def test_builders_preserve_invariants():

@@ -22,14 +22,14 @@ from conftest import (
 
 def single_vertex_basis(degree=0):
     g = graphs.RelationGraph("custom", np.zeros((1, 1)))
-    return graphs.laplacian_basis(graphs.normalized_laplacian(g), degree)
+    return graphs.LaplacianBasis(graphs.normalized_laplacian(g), degree)
 
 
 class TestChebConv:
     def test_degree_zero_is_feature_transform(self):
         rng = np.random.default_rng(0)
         g = random_graph(rng, 4)
-        basis = graphs.laplacian_basis(graphs.normalized_laplacian(g), 0)
+        basis = graphs.LaplacianBasis(graphs.normalized_laplacian(g), 0)
         x = rng.normal(size=(4, 3))
         w = rng.normal(size=(1, 3, 2))
         np.testing.assert_allclose(cheb_conv(x, basis, w), x @ w[0])
@@ -41,7 +41,7 @@ class TestChebConv:
 
     def test_hand_computed_two_vertices(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        basis = graphs.laplacian_basis(lap, 1)
+        basis = graphs.LaplacianBasis(lap, 1)
         x = np.array([[1.0], [0.0]])
         w = np.ones((2, 1, 1))
         np.testing.assert_allclose(cheb_conv(x, basis, w), [[2.0], [-1.0]])
@@ -129,7 +129,7 @@ class TestMrgcnForward:
     def test_single_modality_reduces_to_cheb_conv(self):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 4)
-        basis = graphs.laplacian_basis(graphs.normalized_laplacian(g), 2)
+        basis = graphs.LaplacianBasis(graphs.normalized_laplacian(g), 2)
         joint = rng.normal(size=(3, 2, 3, 1))
         layer = layers.LayerParams(
             joint, np.zeros((1, 2)), CovarianceSet.identity((3, 2, 3, 1))
