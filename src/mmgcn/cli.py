@@ -24,7 +24,8 @@ from . import data as D
 from . import layers as L
 from . import metrics as M
 from . import training as T
-from .graphs import CHEBYSHEV_BASIS, POWER_BASIS, compare_graphs, graph_bases, graph_density
+from .graphs import (CHEBYSHEV_BASIS, POWER_BASIS, compare_graphs, edge_mask, graph_bases,
+                     graph_density)
 from .jsonio import checked, prefixed, read_json
 from .numerics import NumericalFailure
 from .regularization import RegularizerConfig
@@ -237,12 +238,13 @@ def _cmd_predict(config_path, out_dir, target_index: int) -> int:
 
 
 def _graph_stats(graphs, threshold: float) -> dict:
+    """Each graph's density and each pair's comparison, from one edge mask
+    per graph."""
+    masks = {g.modality_id: edge_mask(g, threshold) for g in graphs}
     return {
-        "density": {g.modality_id: graph_density(g, threshold) for g in graphs},
-        "pairs": {
-            f"{a.modality_id}__{b.modality_id}": asdict(compare_graphs(a, b, threshold))
-            for a, b in combinations(graphs, 2)
-        },
+        "density": {name: graph_density(edges) for name, edges in masks.items()},
+        "pairs": {f"{a}__{b}": asdict(compare_graphs(masks[a], masks[b]))
+                  for a, b in combinations(masks, 2)},
     }
 
 

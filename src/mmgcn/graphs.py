@@ -100,6 +100,19 @@ SPARSE_FILL = 25
 # city dense and factors the 16x16 city's POI basis.
 LOW_RANK_RATIO = 16
 
+# A GraphBases whose bases are all dense applies them by one batched product
+# over their stacked row stacks when the pass's stacked terms, M*K*V*B*w*8
+# bytes for B windows of width w, take at most STACKED_BYTES; a wider pass
+# applies one basis at a time.  The default network's layers on the 6x6 city
+# (K=4, 2 cores, OpenBLAS at 2 threads, glibc's default malloc settings), as
+# stacked / per-basis time: 0.52-0.96 for one window (3.5-111 kB) and 0.81
+# for the 1-wide layer of 32 windows (111 kB), but 0.68-1.15 from 221 kB up
+# (the 32-wide MRGCN layer of 32 and 56 windows, 3.5 and 6.2 MB, ran 9-15 %
+# slower).  Unbounded, an in-process 6x6 `mmgcn train` took 121k-212k minor
+# faults instead of 4.3k-4.8k.  128 KiB, glibc's default mmap threshold,
+# stacks only passes measured faster, and no stacked temporary larger than it.
+STACKED_BYTES = 1 << 17  # 128 KiB
+
 
 @dataclass(frozen=True)
 class LaplacianBasis:
@@ -331,29 +344,84 @@ def _laplacian_low_rank(g: RelationGraph) -> tuple:
     return 1.0 + np.square(factor).sum(axis=1), factor
 
 
-def graph_bases(graph_list, degree: int, kind: str = POWER_BASIS) -> list:
+class GraphBases(tuple):
+    """One Laplacian basis per modality graph, in modality order, applied to
+    every source at once by :meth:`spread` and :meth:`gather`.
+
+    When every basis is dense, ``stack`` holds their row stacks as one
+    read-only (M, K*V, V) array, each basis's row stack a view of it, and a
+    pass narrow enough (:meth:`stacks`) applies every basis by one batched
+    product over it.  Each GEMM keeps the shape of its per-basis product, so
+    both ways give the same bytes.  Otherwise ``stack`` is None, and every
+    pass applies one basis at a time.
+    """
+
+    stack: np.ndarray | None = None
+
+    def stacks(self, columns: int) -> bool:
+        """Whether a pass of ``columns`` (windows times width) per source
+        is applied over ``stack``: its stacked terms, M*K*V*columns*8 bytes,
+        take at most ``STACKED_BYTES``."""
+        return (self.stack is not None
+                and self.stack.shape[0] * self.stack.shape[1] * columns * 8 <= STACKED_BYTES)
+
+    def spread(self, h: np.ndarray, out: np.ndarray) -> None:
+        """Write basis i's :meth:`LaplacianBasis.spread` of h[i] into
+        out[:, :, i] for every source i, for h (M, V, B, f) and out
+        (V, B, M, K+1, f)."""
+        m, v, b, f = h.shape
+        if not self.stacks(b * f):
+            for i, basis in enumerate(self):
+                basis.spread(h[i], out[:, :, i])
+            return
+        out[:, :, :, 0] = h.transpose(1, 2, 0, 3)
+        terms = np.matmul(self.stack, h.reshape(m, v, b * f))
+        out[:, :, :, 1:] = terms.reshape(m, -1, v, b, f).transpose(2, 3, 0, 1, 4)
+
+    def gather(self, y: np.ndarray) -> np.ndarray:
+        """Basis i's :meth:`LaplacianBasis.gather` of y[i] for every source
+        i, for y (M, V, B, K+1, f); returns a new (M, V*B, f) array."""
+        m, v, b, kp1, f = y.shape
+        if not self.stacks(b * f):
+            return np.stack([basis.gather(y_i) for basis, y_i in zip(self, y)])
+        rows = np.ascontiguousarray(y[:, :, :, 1:].transpose(0, 3, 1, 2, 4))
+        out = np.matmul(self.stack.transpose(0, 2, 1),
+                        rows.reshape(m, (kp1 - 1) * v, b * f)).reshape(m, v * b, f)
+        out += y[:, :, :, 0].reshape(m, v * b, f)
+        return out
+
+
+def graph_bases(graph_list, degree: int, kind: str = POWER_BASIS) -> GraphBases:
     """One Laplacian basis per modality graph, in modality order; a graph
-    with a Gram factor passes its Laplacian's low-rank form along."""
-    return [LaplacianBasis(normalized_laplacian(g), degree, kind,
-                           None if g.gram_factor is None else _laplacian_low_rank(g))
-            for g in graph_list]
+    with a Gram factor passes its Laplacian's low-rank form along.  Each
+    basis chooses its own representation, so the stack is built after them,
+    and each dense basis then gives up its own row stack for its view."""
+    bases = GraphBases(LaplacianBasis(normalized_laplacian(g), degree, kind,
+                                      None if g.gram_factor is None else _laplacian_low_rank(g))
+                       for g in graph_list)
+    row_stacks = [basis._row_stack for basis in bases]
+    if row_stacks and all(rows is not None for rows in row_stacks):
+        bases.stack = np.stack(row_stacks)
+        bases.stack.setflags(write=False)
+        for basis, rows in zip(bases, bases.stack):
+            object.__setattr__(basis, "_row_stack", rows)  # the same values, one copy
+    return bases
 
 
-def _edges(adjacency: np.ndarray, threshold: float) -> np.ndarray:
+def edge_mask(g: RelationGraph, threshold: float = 0.0) -> np.ndarray:
     """The edges above ``threshold``, as a boolean mask of the strict upper
-    triangle."""
+    triangle, which :func:`graph_density` and :func:`compare_graphs` count."""
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    return np.triu(adjacency, k=1) > threshold
+    return np.triu(g.adjacency > threshold, k=1)
 
 
-def graph_density(g: RelationGraph, threshold: float = 0.0) -> float:
-    """2|E| / (|V| (|V|-1)) with edges binarized at ``threshold``."""
-    n = g.vertex_count
+def graph_density(edges: np.ndarray) -> float:
+    """2|E| / (|V| (|V|-1)) for an :func:`edge_mask`."""
+    n = edges.shape[0]
     if n < 2:
         raise ValueError("density is undefined for graphs with fewer than 2 vertices")
-    edges = int(np.count_nonzero(_edges(g.adjacency, threshold)))
-    return 2.0 * edges / (n * (n - 1))
+    return 2.0 * int(np.count_nonzero(edges)) / (n * (n - 1))
 
 
 @dataclass(frozen=True)
@@ -362,15 +430,12 @@ class GraphComparison:
     edit_distance: int
 
 
-def compare_graphs(g1: RelationGraph, g2: RelationGraph, threshold: float = 0.0) -> GraphComparison:
+def compare_graphs(e1: np.ndarray, e2: np.ndarray) -> GraphComparison:
     """F-measure 2|E1 n E2| / (|E1| + |E2|) and symmetric-difference edit
-    distance of the binarized edge sets (F = 1 when both sets are empty)."""
-    if g1.vertex_count != g2.vertex_count:
-        raise ValueError(
-            f"vertex counts differ: {g1.vertex_count} vs {g2.vertex_count}"
-        )
-    e1 = _edges(g1.adjacency, threshold)
-    e2 = _edges(g2.adjacency, threshold)
+    distance of two graphs' :func:`edge_mask` edge sets (F = 1 when both sets
+    are empty)."""
+    if e1.shape != e2.shape:
+        raise ValueError(f"vertex counts differ: {e1.shape[0]} vs {e2.shape[0]}")
     total = int(np.count_nonzero(e1)) + int(np.count_nonzero(e2))
     f_measure = 1.0 if total == 0 else 2.0 * int(np.count_nonzero(e1 & e2)) / total
     return GraphComparison(f_measure, int(np.count_nonzero(e1 ^ e2)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CHEBYSHEV_BASIS, POWER_BASIS
+from .graphs import CHEBYSHEV_BASIS, POWER_BASIS, GraphBases
 from .regularization import CovarianceSet, RegularizerConfig, group_lasso, tensor_normal_loss
 
 GGCN = "ggcn"
@@ -229,6 +229,8 @@ def _layer_forward(h, bases, layer: LayerParams, kind: str, activation: str, kee
     needs: the operand (the propagated input (V, B, M, K+1, f1), or the input
     itself), the per-source weight matrices, the ReLU mask and the output
     group count."""
+    if not isinstance(bases, GraphBases):
+        bases = GraphBases(bases)  # per basis: a plain sequence has no stack
     m, v, b, f1 = h.shape
     kp1, f2 = layer.weights.shape[2], layer.biases.shape[-1]
     groups = 1 if kind == GGCN else m
@@ -239,10 +241,12 @@ def _layer_forward(h, bases, layer: LayerParams, kind: str, activation: str, kee
         m, kp1 * f1 if first else f1, -1)
     if first:
         operand = np.empty((v, b, m, kp1, f1))
-        for i in range(m):
-            bases[i].spread(h[i], operand[:, :, i])
+        bases.spread(h, operand)
         z = np.matmul(operand.reshape(v * b, groups, -1).transpose(1, 0, 2),
                       w.reshape(groups, -1, g))
+    elif kind == MRGCN and bases.stacks(b * g):  # source i is group i: every q_i at once
+        operand = h
+        z = bases.gather(np.matmul(h.reshape(m, v * b, f1), w).reshape(m, v, b, kp1, g))
     else:
         operand = h
         z = np.zeros((groups, v * b, g))

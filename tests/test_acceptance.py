@@ -319,18 +319,18 @@ def test_criterion_9_graph_statistics():
     """Density, F-measure, and edit distance reproduce hand-computed values;
     the road graph never intersects the neighborhood graph."""
     two = G.RelationGraph("custom", np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert G.graph_density(two) == 1.0
+    assert G.graph_density(G.edge_mask(two)) == 1.0
 
     square = np.zeros((4, 4))
     for i, j in [(0, 1), (1, 2), (2, 3)]:
         square[i, j] = square[j, i] = 1.0
-    assert G.graph_density(G.RelationGraph("custom", square)) == 0.5
+    assert G.graph_density(G.edge_mask(G.RelationGraph("custom", square))) == 0.5
 
     def from_edges(n, edges):
         adj = np.zeros((n, n))
         for i, j in edges:
             adj[i, j] = adj[j, i] = 1.0
-        return G.RelationGraph("custom", adj)
+        return G.edge_mask(G.RelationGraph("custom", adj))
 
     cmp_partial = G.compare_graphs(from_edges(4, [(0, 1), (1, 2)]),
                                    from_edges(4, [(1, 2), (2, 3)]))
@@ -346,6 +346,6 @@ def test_criterion_9_graph_statistics():
     neighborhood, _, road = ds.graphs
     assert not np.any((neighborhood.adjacency > 0) & (road.adjacency > 0))
     if road.adjacency.any():
-        cmp_nc = G.compare_graphs(neighborhood, road)
+        cmp_nc = G.compare_graphs(G.edge_mask(neighborhood), G.edge_mask(road))
         assert cmp_nc.f_measure == 0.0
     print("ACCEPTANCE 9 (graph statistics): PASS")

@@ -27,6 +27,7 @@ from mmgcn.graphs import (
     build_poi_similarity,
     build_road_connectivity,
     compare_graphs,
+    edge_mask,
     graph_bases,
     graph_density,
     normalized_laplacian,
@@ -446,24 +447,24 @@ class TestBasisRepresentation:
 class TestGraphStatistics:
     def test_density_two_vertices(self):
         g = RelationGraph("custom", np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert graph_density(g) == 1.0
+        assert graph_density(edge_mask(g)) == 1.0
 
     def test_density_empty(self):
-        assert graph_density(RelationGraph("custom", np.zeros((5, 5)))) == 0.0
+        assert graph_density(edge_mask(RelationGraph("custom", np.zeros((5, 5))))) == 0.0
 
     def test_density_partial(self):
         adj = np.zeros((4, 4))
         for i, j in [(0, 1), (1, 2), (2, 3)]:
             adj[i, j] = adj[j, i] = 1.0
-        assert graph_density(RelationGraph("custom", adj)) == 0.5
+        assert graph_density(edge_mask(RelationGraph("custom", adj))) == 0.5
 
     def test_density_complete(self):
         adj = np.ones((6, 6)) - np.eye(6)
-        assert graph_density(RelationGraph("custom", adj)) == 1.0
+        assert graph_density(edge_mask(RelationGraph("custom", adj))) == 1.0
 
     def test_density_single_vertex_invalid(self):
         with pytest.raises(ValueError):
-            graph_density(RelationGraph("custom", np.zeros((1, 1))))
+            graph_density(edge_mask(RelationGraph("custom", np.zeros((1, 1)))))
 
     def _graph_from_edges(self, n, edges):
         adj = np.zeros((n, n))
@@ -473,41 +474,42 @@ class TestGraphStatistics:
 
     def test_compare_identical(self):
         g = self._graph_from_edges(4, [(0, 1), (2, 3)])
-        result = compare_graphs(g, g)
+        result = compare_graphs(edge_mask(g), edge_mask(g))
         assert result.f_measure == 1.0
         assert result.edit_distance == 0
 
     def test_compare_disjoint(self):
         g1 = self._graph_from_edges(6, [(0, 1), (2, 3)])
         g2 = self._graph_from_edges(6, [(0, 2), (1, 3), (4, 5)])
-        result = compare_graphs(g1, g2)
+        result = compare_graphs(edge_mask(g1), edge_mask(g2))
         assert result.f_measure == 0.0
         assert result.edit_distance == 5
 
     def test_compare_partial_overlap(self):
         g1 = self._graph_from_edges(4, [(0, 1), (1, 2)])
         g2 = self._graph_from_edges(4, [(1, 2), (2, 3)])
-        result = compare_graphs(g1, g2)
+        result = compare_graphs(edge_mask(g1), edge_mask(g2))
         assert result.f_measure == 0.5
         assert result.edit_distance == 2
 
     def test_compare_both_empty(self):
         g = self._graph_from_edges(3, [])
-        result = compare_graphs(g, g)
+        result = compare_graphs(edge_mask(g), edge_mask(g))
         assert result.f_measure == 1.0
         assert result.edit_distance == 0
 
     def test_compare_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            compare_graphs(self._graph_from_edges(3, []), self._graph_from_edges(4, []))
+            compare_graphs(edge_mask(self._graph_from_edges(3, [])),
+                           edge_mask(self._graph_from_edges(4, [])))
 
     def test_negative_threshold_rejected(self):
         # at -0.5 every pair, zero weights included, would count as an edge
         g, empty = build_neighborhood(3, 3), RelationGraph("r", np.zeros((9, 9)))
         with pytest.raises(ValueError, match="threshold must be nonnegative"):
-            graph_density(g, -0.5)
+            edge_mask(g, -0.5)
         with pytest.raises(ValueError, match="threshold must be nonnegative"):
-            compare_graphs(g, empty, -0.5)
+            edge_mask(empty, -0.5)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -529,30 +531,31 @@ class TestGraphStatistics:
             return {(i, j) for i, j in pairs if g.adjacency[i, j] > threshold}
 
         e1, e2 = edge_set(g1), edge_set(g2)
-        density = graph_density(g1, threshold)
+        density = graph_density(edge_mask(g1, threshold))
         assert type(density) is float
         assert density == 2.0 * len(e1) / (n * (n - 1))
-        result = compare_graphs(g1, g2, threshold)
+        result = compare_graphs(edge_mask(g1, threshold), edge_mask(g2, threshold))
         assert type(result.f_measure) is float and type(result.edit_distance) is int
         assert result.f_measure == (2.0 * len(e1 & e2) / (len(e1) + len(e2))
                                     if e1 or e2 else 1.0)
         assert result.edit_distance == len(e1 ^ e2)
 
     def test_statistics_of_a_1024_vertex_city_stay_small(self):
-        # three densities and three pairs of the 32x32 city; a statistic
-        # holds the upper triangle of an adjacency (8 MB) and a few boolean
-        # masks (1 MB each)
+        # three densities and three pairs of the 32x32 city, from one edge
+        # mask per graph (1 MB each) and a few more masks while they are made
+        # and compared
         city = generate_synthetic(SynthConfig(32, 32, 2, seed=1)).graphs
         tracemalloc.start()
         try:
-            for g in city:
-                graph_density(g)
-            for g1, g2 in itertools.combinations(city, 2):
-                compare_graphs(g1, g2)
+            masks = [edge_mask(g) for g in city]
+            for edges in masks:
+                graph_density(edges)
+            for e1, e2 in itertools.combinations(masks, 2):
+                compare_graphs(e1, e2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32e6
+        assert peak < 8e6
 
 
 def test_builders_preserve_invariants():
