@@ -357,7 +357,7 @@ def dispatch(argv) -> int:
         if args.command == "predict":
             return _cmd_predict(args.config, args.out, args.index)
         return _cmd_analyze(args.config, args.out)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # an OSError names the output path it failed on
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:

@@ -26,7 +26,7 @@ POWER_BASIS = "power"
 CHEBYSHEV_BASIS = "chebyshev"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationGraph:
     """One modality's weighted adjacency over the shared vertex set, given
     either as ``adjacency`` or as ``gram_factor``, exactly one of them.
@@ -114,7 +114,7 @@ LOW_RANK_RATIO = 16
 STACKED_BYTES = 1 << 17  # 128 KiB
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaplacianBasis:
     """The polynomial [B_0 .. B_K] of a graph's Laplacian L that the graph
     convolution sums over, applied by :meth:`spread` and :meth:`gather`.
@@ -122,34 +122,34 @@ class LaplacianBasis:
     ``kind = "power"`` takes B_a = L^a (B_1 = L, B_a = B_{a-1} B_1);
     ``kind = "chebyshev"`` takes Chebyshev polynomials T_a(L - I) of the
     rescaled Laplacian (B_1 = L - I, B_a = 2 B_1 B_{a-1} - B_{a-2}).  Either way
-    B_0 = I, which is applied as a copy.  ``step`` holds B_1.  L must be
-    exactly symmetric, so every B_a is its own transpose, and the backward
-    pass applies the same :meth:`spread` and :meth:`gather` as the forward
-    pass.  ``low_rank``, if given, is a pair (d, Y) with L = diag(d) - Y Y^T
-    up to rounding, as :func:`graph_bases` derives it from a graph's Gram
-    factor; the basis holds it shifted like ``step``, as B_1's (d - 1, Y) for
-    Chebyshev.
+    B_0 = I, which is applied as a copy.  L must be exactly symmetric, so
+    every B_a is its own transpose, and the backward pass applies the same
+    :meth:`spread` and :meth:`gather` as the forward pass.  ``low_rank``, if
+    given, is a pair (d, Y) with L = diag(d) - Y Y^T up to rounding, as
+    :func:`graph_bases` derives it from a graph's Gram factor; it is shifted
+    like L, to B_1's (d - 1, Y) for Chebyshev.
 
-    The representation is chosen once, here.  A step matrix with at most
-    V^2 / ``SPARSE_FILL`` nonzeros is held as CSR (``sparse``); otherwise a
-    ``low_rank`` form with V >= ``LOW_RANK_RATIO`` * P is kept instead
-    (``factored``).  Either is applied by its recursion, K products with
-    B_1.  Anything else spreads the identity through that same recursion,
-    with the dense step, and holds the terms once as the row stack
+    The representation is chosen once, here, from the dense B_1, which is then
+    kept only in the form that is applied: with at most V^2 / ``SPARSE_FILL``
+    nonzeros, ``step`` is its CSR array (``sparse``); otherwise, given
+    ``low_rank`` with V >= ``LOW_RANK_RATIO`` * P, ``step`` is None and the
+    pair is kept (``factored``).  Either is applied by its recursion, K
+    products with B_1.  Anything else keeps the dense ``step``, spreads the
+    identity through that recursion and holds the terms once as the row stack
     ``[B_1; ...; B_K]`` (K*V x V), each term set to (B_a + B_a^T) / 2, so one
     matrix product reaches every degree and :meth:`gather` multiplies by the
-    stack's transpose.  Every array is read-only.
+    stack's transpose.  Only a factored basis keeps ``low_rank``.  Every array
+    is read-only, and a basis, like a graph, compares by identity.
     """
 
     laplacian: InitVar[np.ndarray]
     degree: int
     kind: str = POWER_BASIS
-    low_rank: tuple | None = field(default=None, repr=False, compare=False)
-    step: np.ndarray = field(init=False)
+    low_rank: tuple | None = field(default=None, repr=False)
+    step: object = field(init=False)
     sparse: bool = field(init=False)
     factored: bool = field(init=False)
-    _csr: object = field(init=False, repr=False, compare=False)
-    _row_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _row_stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, laplacian):
         if self.degree < 0:
@@ -166,34 +166,33 @@ class LaplacianBasis:
         if self.kind == CHEBYSHEV_BASIS:
             step -= np.eye(n)
             if low_rank is not None:
-                diagonal, _ = low_rank
-                diagonal -= 1.0
-        for arr in (step,) + (low_rank or ()):
-            arr.setflags(write=False)
+                np.subtract(low_rank[0], 1.0, out=low_rank[0])
         sparse = bool(np.count_nonzero(step) * SPARSE_FILL <= n * n)
         factored = (not sparse and low_rank is not None
                     and n >= LOW_RANK_RATIO * low_rank[1].shape[1])
-        csr = None
+        dense = not (sparse or factored)
         if sparse:
             from scipy.sparse import csr_array  # imported only by a city with sparse graphs
 
-            csr = csr_array(step)
-        dense = not (sparse or factored)
+            step = csr_array(step)
         row_stack = np.empty((self.degree * n, n)) if dense else None
-        for name, value in (("step", step), ("low_rank", low_rank), ("sparse", sparse),
-                            ("factored", factored), ("_csr", csr), ("_row_stack", row_stack)):
+        for name, value in (("step", None if factored else step),
+                            ("low_rank", low_rank if factored else None), ("sparse", sparse),
+                            ("factored", factored), ("_row_stack", row_stack)):
             object.__setattr__(self, name, value)
         if dense:
             for a, term in enumerate(self._terms(np.eye(n))):
                 np.divide(term + term.T, 2.0, out=term)  # before the next term uses it
                 row_stack[a * n : (a + 1) * n] = term
-            row_stack.setflags(write=False)
+        for arr in (low_rank if factored else (step, row_stack) if dense
+                    else (step.data, step.indices, step.indptr)):
+            arr.setflags(write=False)
 
     def _apply_step(self, x: np.ndarray) -> np.ndarray:
-        """B_1 x for a (V, n) matrix x, as a new array: one dense or CSR
-        product, or d * x - Y (Y^T x) for a factored basis."""
-        if not self.factored:
-            return (self._csr if self.sparse else self.step) @ x
+        """B_1 x for a (V, n) matrix x, as a new array: one product with the
+        dense or CSR ``step``, or d * x - Y (Y^T x) for a factored basis."""
+        if self.step is not None:
+            return self.step @ x
         diagonal, factor = self.low_rank
         out = diagonal[:, None] * x
         out -= factor @ (factor.T @ x)

@@ -26,13 +26,13 @@ _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
 
 
 def read_json(path):
-    """The parsed JSON file at ``path``; a missing file or invalid JSON raises
-    ``ValueError`` naming the path."""
+    """The parsed JSON file at ``path``; a file that cannot be read or holds
+    invalid JSON raises ``ValueError`` naming the path."""
     path = Path(path)
     try:
         return json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise ValueError(f"{path}: file not found") from exc
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 

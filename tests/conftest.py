@@ -118,34 +118,36 @@ def covariance_updates(monkeypatch):
 # ---------------------------------------------------------------------------
 # references the library is checked against
 
-def basis_terms(basis):
-    """[B_0 .. B_K] as dense matrices, by the textbook recurrence on
-    ``basis.step``: B_a = B_{a-1} B_1 (power) or 2 B_1 B_{a-1} - B_{a-2}
-    (Chebyshev), with B_0 = I."""
-    step = basis.step
-    terms = [np.eye(step.shape[0]), step]
-    for _ in range(2, basis.degree + 1):
-        if basis.kind == graphs.POWER_BASIS:
+def basis_terms(laplacian, degree, kind=graphs.POWER_BASIS):
+    """[B_0 .. B_K] of ``laplacian`` as dense matrices, by the textbook
+    recurrence on its step B_1 = L (power) or L - I (Chebyshev): B_a =
+    B_{a-1} B_1 or 2 B_1 B_{a-1} - B_{a-2}, with B_0 = I."""
+    eye = np.eye(laplacian.shape[0])
+    step = laplacian - eye if kind == graphs.CHEBYSHEV_BASIS else laplacian
+    terms = [eye, step]
+    for _ in range(2, degree + 1):
+        if kind == graphs.POWER_BASIS:
             terms.append(terms[-1] @ step)
         else:
             terms.append(2.0 * step @ terms[-1] - terms[-2])
-    return terms[: basis.degree + 1]
+    return terms[: degree + 1]
 
 
-def cheb_conv(x, basis, weights):
-    """Polynomial graph convolution: sum_a B_a @ X @ W[a]."""
+def cheb_conv(x, terms, weights):
+    """Polynomial graph convolution sum_a B_a @ X @ W[a] over the dense
+    :func:`basis_terms` [B_0 .. B_K]."""
     x = np.asarray(x, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 3 or weights.shape[0] != basis.degree + 1:
+    if weights.ndim != 3 or weights.shape[0] != len(terms):
         raise ValueError(
-            f"weights must be a (K+1, f1, f2) stack matching degree {basis.degree}"
+            f"weights must be a (K+1, f1, f2) stack matching degree {len(terms) - 1}"
         )
     if x.ndim != 2 or x.shape[1] != weights.shape[1]:
         raise ValueError(f"signal shape {x.shape} does not match weight f1 {weights.shape[1]}")
-    if x.shape[0] != basis.step.shape[0]:
+    if x.shape[0] != terms[0].shape[0]:
         raise ValueError("signal vertex count does not match the basis")
     out = np.zeros((x.shape[0], weights.shape[2]))
-    for term, w_alpha in zip(basis_terms(basis), weights):
+    for term, w_alpha in zip(terms, weights):
         out += term @ x @ w_alpha
     return out
 

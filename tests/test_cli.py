@@ -633,6 +633,24 @@ def test_invalid_json_names_the_file(run3x3, tmp_path, capsys):
     assert f"error: {manifest}: not valid JSON: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["config-is-a-directory", "out-is-a-file", "out-under-a-file"])
+def test_unusable_path_exits_2_naming_it(run3x3, tmp_path, capsys, case):
+    # a config that cannot be read, or an output that cannot be written, is
+    # invalid input: one error line names the path, and no traceback follows
+    config, _ = run3x3
+    blocker = write_json(tmp_path / "blocker.json", {})
+    synth = write_json(tmp_path / "synth.json", {"grid_rows": 2, "grid_cols": 2, "weeks": 4})
+    command, config, out, named = {
+        "config-is-a-directory": ("train", tmp_path, tmp_path / "run", tmp_path),
+        "out-is-a-file": ("train", config, blocker, blocker),
+        "out-under-a-file": ("synth", synth, blocker / "x", blocker / "x"),
+    }[case]
+    assert dispatch([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert str(named) in err and "Traceback" not in err
+
+
 def test_echoed_defaults_match_dataclasses(tmp_path):
     # 60-minute intervals halve the windows of a full default-length fit
     given = {"grid_rows": 2, "grid_cols": 2, "weeks": 4, "interval_minutes": 60}

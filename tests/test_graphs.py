@@ -40,10 +40,9 @@ from conftest import basis_terms, pack_grads, poi_like, random_graph, ring_with_
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def applied_terms(basis):
-    """[B_0 .. B_K] as the basis applies them: ``spread`` of the identity,
-    whose column j is B_a e_j."""
-    v = basis.step.shape[0]
+def applied_terms(basis, v):
+    """[B_0 .. B_K] as the basis of a V-vertex Laplacian applies them:
+    ``spread`` of the identity, whose column j is B_a e_j."""
     out = np.empty((v, v, basis.degree + 1, 1))
     basis.spread(np.eye(v)[:, :, None], out)
     return [out[:, :, a, 0] for a in range(basis.degree + 1)]
@@ -190,7 +189,8 @@ class TestBuildPoiSimilarity:
         assert basis.factored
         diagonal, factor = basis.low_rank
         np.testing.assert_array_equal(factor[:2], np.zeros((2, 2)))
-        np.testing.assert_allclose(basis.step, np.diag(diagonal) - factor @ factor.T,
+        step = normalized_laplacian(g) - (np.eye(40) if kind == CHEBYSHEV_BASIS else 0.0)
+        np.testing.assert_allclose(step, np.diag(diagonal) - factor @ factor.T,
                                    rtol=0.0, atol=1e-15)
 
 
@@ -262,30 +262,30 @@ class TestLaplacianBasis:
     def test_degree_zero(self):
         basis = LaplacianBasis(np.array([[0.5]]), 0)
         assert basis.degree == 0
-        np.testing.assert_array_equal(applied_terms(basis)[0], np.eye(1))
+        np.testing.assert_array_equal(applied_terms(basis, 1)[0], np.eye(1))
 
     def test_identity_powers(self):
         basis = LaplacianBasis(np.eye(3), 3)
-        for mat in applied_terms(basis):
+        for mat in applied_terms(basis, 3):
             np.testing.assert_array_equal(mat, np.eye(3))
 
     def test_explicit_square(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        terms = applied_terms(LaplacianBasis(lap, 2))
+        terms = applied_terms(LaplacianBasis(lap, 2), 2)
         np.testing.assert_array_equal(terms[1], lap)
         np.testing.assert_allclose(terms[2], [[2.0, -2.0], [-2.0, 2.0]])
 
     def test_power_recurrence(self):
         rng = np.random.default_rng(2)
         lap = normalized_laplacian(random_graph(rng, 6))
-        terms = applied_terms(LaplacianBasis(lap, 4))
+        terms = applied_terms(LaplacianBasis(lap, 4), 6)
         for alpha in range(1, 5):
             np.testing.assert_allclose(terms[alpha], terms[alpha - 1] @ terms[1], atol=1e-9)
 
     def test_chebyshev_recurrence(self):
         rng = np.random.default_rng(3)
         lap = normalized_laplacian(random_graph(rng, 5))
-        terms = applied_terms(LaplacianBasis(lap, 3, CHEBYSHEV_BASIS))
+        terms = applied_terms(LaplacianBasis(lap, 3, CHEBYSHEV_BASIS), 5)
         rescaled = lap - np.eye(5)
         np.testing.assert_allclose(terms[1], rescaled)
         np.testing.assert_allclose(terms[3], 2 * rescaled @ terms[2] - terms[1], atol=1e-12)
@@ -298,10 +298,10 @@ class TestLaplacianBasis:
         for kind, shift in ((POWER_BASIS, 0.0), (CHEBYSHEV_BASIS, 1.0)):
             basis = LaplacianBasis(lap, 2, kind, (diagonal, factor))
             assert basis.factored
-            np.testing.assert_array_equal(basis.step, lap - shift * np.eye(256))
+            assert basis.step is None  # B_1 is kept only as its low-rank form
             np.testing.assert_array_equal(basis.low_rank[0], diagonal - shift)
             np.testing.assert_array_equal(basis.low_rank[1], factor)
-            for array in (basis.step, *basis.low_rank):
+            for array in basis.low_rank:
                 assert not array.flags.writeable
 
     def test_negative_degree(self):
@@ -341,7 +341,7 @@ class TestBasisRepresentation:
         # largest entry on these cities at K = 4.
         graph_list = generate_synthetic(SynthConfig(side, side, 2, seed=5)).graphs
         for basis in graph_bases(graph_list, 4, kind):
-            for term in applied_terms(basis):
+            for term in applied_terms(basis, side * side):
                 if basis.sparse or basis.factored:
                     bound = 64 * np.finfo(float).eps * np.abs(term).max()
                     assert np.abs(term - term.T).max() <= bound
@@ -355,26 +355,28 @@ class TestBasisRepresentation:
         rng = np.random.default_rng(degree)
         graph = (ring_with_chords(rng, 90, 3) if sparse
                  else random_graph(rng, 90, density=0.3))
-        basis = LaplacianBasis(normalized_laplacian(graph), degree, kind)
+        lap = normalized_laplacian(graph)
+        basis = LaplacianBasis(lap, degree, kind)
         assert basis.sparse == sparse
         assert not basis.factored
-        self.assert_spread_and_gather_match_powers(basis, rng)
+        self.assert_spread_and_gather_match_powers(basis, lap, rng)
 
     @pytest.mark.parametrize("kind", [POWER_BASIS, CHEBYSHEV_BASIS])
     @pytest.mark.parametrize("degree", [0, 1, 3])
     def test_factored_spread_and_gather_match_powers(self, kind, degree):
         rng = np.random.default_rng(degree)
-        (basis,) = graph_bases([poi_like(rng, 90, 4)], degree, kind)
+        graph = poi_like(rng, 90, 4)
+        (basis,) = graph_bases([graph], degree, kind)
         assert basis.factored and not basis.sparse
-        self.assert_spread_and_gather_match_powers(basis, rng)
+        self.assert_spread_and_gather_match_powers(basis, normalized_laplacian(graph), rng)
 
     @staticmethod
-    def assert_spread_and_gather_match_powers(basis, rng):
-        v, kp1 = basis.step.shape[0], basis.degree + 1
+    def assert_spread_and_gather_match_powers(basis, lap, rng):
+        v, kp1 = lap.shape[0], basis.degree + 1
         x = rng.normal(size=(v, 2, 3))
         y = rng.normal(size=(v, 2, kp1, 3))
         spread_out = np.empty_like(y)
-        terms = basis_terms(basis)
+        terms = basis_terms(lap, basis.degree, basis.kind)
         expected_gather = sum(p @ y[:, :, a].reshape(v, 6) for a, p in enumerate(terms))
         basis.spread(x, spread_out)
         for a, term in enumerate(terms):
@@ -442,6 +444,47 @@ class TestBasisRepresentation:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=300)
         assert done.returncode == 0, done.stderr[-4000:]
+
+    def test_each_basis_keeps_only_the_form_it_applies(self):
+        # the 32x32 city's bases, CSR, factored and CSR: their dense V x V
+        # steps would hold 24 MiB, the forms they apply 0.24 MB
+        from scipy.sparse import csr_array  # loaded before tracing starts
+
+        graph_list = generate_synthetic(SynthConfig(32, 32, 2, seed=3)).graphs
+        tracemalloc.start()
+        try:
+            bases = graph_bases(graph_list, 4)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1e6
+        assert [(basis.sparse, basis.factored) for basis in bases] == [
+            (True, False), (False, True), (True, False)]
+        for graph, basis in zip(graph_list, bases):
+            if basis.sparse:
+                assert isinstance(basis.step, csr_array) and basis.low_rank is None
+                assert basis.step.nnz == np.count_nonzero(normalized_laplacian(graph))
+            else:
+                assert basis.step is None
+
+    def test_graphs_and_bases_compare_by_identity(self):
+        # twins built from the same data are equal in value, but each holds
+        # arrays, so graphs and bases of every representation are told apart,
+        # hashed and found by identity
+        def build():
+            cities = [generate_synthetic(SynthConfig(side, side, 2, seed=5)).graphs
+                      for side in (6, 16)]
+            return ([g for city in cities for g in city],
+                    [b for city in cities for b in graph_bases(city, 2)])
+
+        (graph_list, bases), (graph_twins, basis_twins) = build(), build()
+        assert {(b.sparse, b.factored) for b in bases} == {
+            (False, False), (True, False), (False, True)}
+        for items, twins in ((graph_list, graph_twins), (bases, basis_twins)):
+            assert len(set(items) | set(twins)) == 2 * len(items)
+            for i, (item, twin) in enumerate(zip(items, twins)):
+                assert item in items and twin not in items
+                assert items.index(item) == i
 
 
 class TestGraphStatistics:

@@ -28,6 +28,7 @@ from mmgcn import graphs, layers
 from mmgcn.regularization import RegularizerConfig
 
 from conftest import (
+    basis_terms,
     cheb_conv,
     finite_diff_gradient,
     pack_grads,
@@ -81,6 +82,7 @@ def draw_problem(data, kind, propagate_first, sparse=False, batch=None, factored
     else:
         graph_list = [random_graph(rng, v, density=0.7, modality=f"custom{i}") for i in range(m)]
     bases = graphs.graph_bases(graph_list, k, basis_kind)
+    terms = [basis_terms(graphs.normalized_laplacian(g), k, basis_kind) for g in graph_list]
     if sparse:
         assert all(basis.sparse for basis in bases)
     if factored:
@@ -93,12 +95,12 @@ def draw_problem(data, kind, propagate_first, sparse=False, batch=None, factored
     x = rng.uniform(0.0, 1.0, (b, v, t))
     y = rng.uniform(0.0, 1.0, (b, v))
     assert layers._propagates_input(f1, g) == propagate_first
-    return bases, params, x, y
+    return bases, terms, params, x, y
 
 
-def reference_forward(x, bases, params):
-    """One (V, T) window through the stack with cheb_conv as the only
-    convolution; returns per-layer pre-activations (M, V, f), post-activation
+def reference_forward(x, terms, params):
+    """One (V, T) window through the stack with cheb_conv over each graph's
+    dense ``terms`` as the only convolution; returns per-layer pre-activations (M, V, f), post-activation
     outputs (M, V, f) and the (V,) prediction."""
     m = params.config.modalities
     h = [x] * m
@@ -107,9 +109,9 @@ def reference_forward(x, bases, params):
         z = []
         for j in range(m):
             if spec.kind == layers.GGCN:
-                conv = sum(cheb_conv(h[i], bases[i], layer.weights[i, j]) for i in range(m))
+                conv = sum(cheb_conv(h[i], terms[i], layer.weights[i, j]) for i in range(m))
             else:
-                conv = cheb_conv(h[j], bases[j], layer.weights[:, :, :, j].transpose(2, 0, 1))
+                conv = cheb_conv(h[j], terms[j], layer.weights[:, :, :, j].transpose(2, 0, 1))
             z.append(conv + layer.biases[j])
         h = [np.maximum(zj, 0.0) if spec.activation == layers.RELU else zj for zj in z]
         pre.append(np.stack(z))
@@ -122,10 +124,10 @@ def assert_close(actual, expected):
     np.testing.assert_allclose(actual, expected, rtol=FORWARD_RTOL, atol=FORWARD_RTOL * scale)
 
 
-def check_forward(bases, params, x):
+def check_forward(bases, terms, params, x):
     preds, hidden = layers.network_forward_hidden(x, bases, params)
     for w, window in enumerate(x):
-        _, post, pred = reference_forward(window, bases, params)
+        _, post, pred = reference_forward(window, terms, params)
         assert_close(preds[w], pred)
         assert_close(layers.network_forward(window, bases, params)[:, 0], pred)
         layer_in = [window] * params.config.modalities
@@ -137,9 +139,9 @@ def check_forward(bases, params, x):
             layer_in = list(post[idx])
 
 
-def check_gradients(bases, params, x, y):
+def check_gradients(bases, terms, params, x, y):
     for window in x:
-        pre, _, _ = reference_forward(window, bases, params)
+        pre, _, _ = reference_forward(window, terms, params)
         for spec, z in zip(params.config.layer_specs, pre):
             if spec.activation == layers.RELU:
                 assume(np.abs(z).min() > KINK_MARGIN)
@@ -159,48 +161,48 @@ def check_gradients(bases, params, x, y):
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_forward_matches_cheb_conv_reference(kind, propagate_first, data):
-    bases, params, x, _ = draw_problem(data, kind, propagate_first)
-    check_forward(bases, params, x)
+    bases, terms, params, x, _ = draw_problem(data, kind, propagate_first)
+    check_forward(bases, terms, params, x)
 
 
 @pytest.mark.parametrize("kind,propagate_first", PATHS)
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_gradients_match_finite_differences(kind, propagate_first, data):
-    bases, params, x, y = draw_problem(data, kind, propagate_first)
-    check_gradients(bases, params, x, y)
+    bases, terms, params, x, y = draw_problem(data, kind, propagate_first)
+    check_gradients(bases, terms, params, x, y)
 
 
 @pytest.mark.parametrize("kind,propagate_first", PATHS)
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_sparse_forward_matches_cheb_conv_reference(kind, propagate_first, data):
-    bases, params, x, _ = draw_problem(data, kind, propagate_first, sparse=True)
-    check_forward(bases, params, x)
+    bases, terms, params, x, _ = draw_problem(data, kind, propagate_first, sparse=True)
+    check_forward(bases, terms, params, x)
 
 
 @pytest.mark.parametrize("kind,propagate_first", PATHS)
 @settings(max_examples=4, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_sparse_gradients_match_finite_differences(kind, propagate_first, data):
-    bases, params, x, y = draw_problem(data, kind, propagate_first, sparse=True)
-    check_gradients(bases, params, x, y)
+    bases, terms, params, x, y = draw_problem(data, kind, propagate_first, sparse=True)
+    check_gradients(bases, terms, params, x, y)
 
 
 @pytest.mark.parametrize("kind,propagate_first", PATHS)
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_factored_forward_matches_cheb_conv_reference(kind, propagate_first, data):
-    bases, params, x, _ = draw_problem(data, kind, propagate_first, factored=True)
-    check_forward(bases, params, x)
+    bases, terms, params, x, _ = draw_problem(data, kind, propagate_first, factored=True)
+    check_forward(bases, terms, params, x)
 
 
 @pytest.mark.parametrize("kind,propagate_first", PATHS)
 @settings(max_examples=4, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_factored_gradients_match_finite_differences(kind, propagate_first, data):
-    bases, params, x, y = draw_problem(data, kind, propagate_first, factored=True)
-    check_gradients(bases, params, x, y)
+    bases, terms, params, x, y = draw_problem(data, kind, propagate_first, factored=True)
+    check_gradients(bases, terms, params, x, y)
 
 
 @pytest.mark.parametrize("kind,propagate_first", PATHS)
@@ -208,9 +210,9 @@ def test_factored_gradients_match_finite_differences(kind, propagate_first, data
 @given(data=st.data())
 def test_chunked_gradients_match_finite_differences(kind, propagate_first, data):
     # five windows in chunks of two: two whole chunks and a short one
-    bases, params, x, y = draw_problem(data, kind, propagate_first, batch=5)
+    bases, terms, params, x, y = draw_problem(data, kind, propagate_first, batch=5)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(layers, "CHUNK_BYTES",
                       2 * x.shape[1] * 8 * layers._chunk_floats(params.config, True))
         assert len(list(layers._forward_chunks(x, bases, params, keep_caches=True))) == 3
-        check_gradients(bases, params, x, y)
+        check_gradients(bases, terms, params, x, y)

@@ -7,6 +7,7 @@ from mmgcn import graphs, layers
 from mmgcn.regularization import CovarianceSet, RegularizerConfig
 
 from conftest import (
+    basis_terms,
     cheb_conv,
     finite_diff_gradient,
     numerical_rank,
@@ -20,38 +21,42 @@ from conftest import (
 )
 
 
-def single_vertex_basis(degree=0):
+def single_vertex_laplacian():
     g = graphs.RelationGraph("custom", np.zeros((1, 1)))
-    return graphs.LaplacianBasis(graphs.normalized_laplacian(g), degree)
+    return graphs.normalized_laplacian(g)
+
+
+def single_vertex_basis(degree=0):
+    return graphs.LaplacianBasis(single_vertex_laplacian(), degree)
 
 
 class TestChebConv:
     def test_degree_zero_is_feature_transform(self):
         rng = np.random.default_rng(0)
         g = random_graph(rng, 4)
-        basis = graphs.LaplacianBasis(graphs.normalized_laplacian(g), 0)
+        terms = basis_terms(graphs.normalized_laplacian(g), 0)
         x = rng.normal(size=(4, 3))
         w = rng.normal(size=(1, 3, 2))
-        np.testing.assert_allclose(cheb_conv(x, basis, w), x @ w[0])
+        np.testing.assert_allclose(cheb_conv(x, terms, w), x @ w[0])
 
     def test_zero_signal(self):
-        basis = single_vertex_basis(2)
-        out = cheb_conv(np.zeros((1, 3)), basis, np.ones((3, 3, 2)))
+        terms = basis_terms(single_vertex_laplacian(), 2)
+        out = cheb_conv(np.zeros((1, 3)), terms, np.ones((3, 3, 2)))
         np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     def test_hand_computed_two_vertices(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        basis = graphs.LaplacianBasis(lap, 1)
+        terms = basis_terms(lap, 1)
         x = np.array([[1.0], [0.0]])
         w = np.ones((2, 1, 1))
-        np.testing.assert_allclose(cheb_conv(x, basis, w), [[2.0], [-1.0]])
+        np.testing.assert_allclose(cheb_conv(x, terms, w), [[2.0], [-1.0]])
 
     def test_shape_mismatch(self):
-        basis = single_vertex_basis(1)
+        terms = basis_terms(single_vertex_laplacian(), 1)
         with pytest.raises(ValueError):
-            cheb_conv(np.zeros((1, 2)), basis, np.zeros((2, 3, 2)))
+            cheb_conv(np.zeros((1, 2)), terms, np.zeros((2, 3, 2)))
         with pytest.raises(ValueError):
-            cheb_conv(np.zeros((1, 2)), basis, np.zeros((1, 2, 2)))
+            cheb_conv(np.zeros((1, 2)), terms, np.zeros((1, 2, 2)))
 
 
 class TestGgcnForward:
@@ -82,7 +87,7 @@ class TestGgcnForward:
         # zeroed inter-modality blocks reduce to independent per-modality stacks
         rng = np.random.default_rng(1)
         for trial in range(20):
-            _, bases, layer = single_layer(
+            graph_list, bases, layer = single_layer(
                 layers.GGCN, rng_seed=trial, out_dim=3, degree=2, graph_seed=trial
             )
             layer.weights[0, 1] = 0.0
@@ -91,7 +96,8 @@ class TestGgcnForward:
             xs = [rng.normal(size=(3, 5)) for _ in range(2)]
             out = layers.ggcn_forward(xs, bases, layer, layers.RELU)
             for j in range(2):
-                stack = cheb_conv(xs[j], bases[j], layer.weights[j, j])
+                terms = basis_terms(graphs.normalized_laplacian(graph_list[j]), 2)
+                stack = cheb_conv(xs[j], terms, layer.weights[j, j])
                 expected = np.maximum(stack + layer.biases[j], 0.0)
                 np.testing.assert_allclose(out[j], expected, atol=1e-12)
 
@@ -129,14 +135,15 @@ class TestMrgcnForward:
     def test_single_modality_reduces_to_cheb_conv(self):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 4)
-        basis = graphs.LaplacianBasis(graphs.normalized_laplacian(g), 2)
+        lap = graphs.normalized_laplacian(g)
+        basis = graphs.LaplacianBasis(lap, 2)
         joint = rng.normal(size=(3, 2, 3, 1))
         layer = layers.LayerParams(
             joint, np.zeros((1, 2)), CovarianceSet.identity((3, 2, 3, 1))
         )
         x = rng.normal(size=(4, 3))
         out = layers.mrgcn_forward([x], [basis], layer, layers.IDENTITY)
-        expected = cheb_conv(x, basis, joint[:, :, :, 0].transpose(2, 0, 1))
+        expected = cheb_conv(x, basis_terms(lap, 2), joint[:, :, :, 0].transpose(2, 0, 1))
         np.testing.assert_allclose(out[0], expected, atol=1e-14)
 
 
@@ -306,17 +313,18 @@ class TestSourceGraphContract:
         rng = np.random.default_rng(10)
         graph_list = [random_graph(rng, 4, modality=f"custom{i}") for i in range(2)]
         bases = graphs.graph_bases(graph_list, 2)
+        terms = [basis_terms(graphs.normalized_laplacian(g), 2) for g in graph_list]
         weights = np.zeros((2, 2, 3, 3, 2))
         weights[0, 1] = rng.normal(size=(3, 3, 2))
         layer = layers.LayerParams(weights, np.zeros((2, 2)))
         xs = [rng.normal(size=(4, 3)) for _ in range(2)]
         out = layers.ggcn_forward(xs, bases, layer, layers.IDENTITY)
         np.testing.assert_allclose(
-            out[1], cheb_conv(xs[0], bases[0], weights[0, 1]), atol=1e-12
+            out[1], cheb_conv(xs[0], terms[0], weights[0, 1]), atol=1e-12
         )
         with pytest.raises(AssertionError):
             np.testing.assert_allclose(
-                out[1], cheb_conv(xs[0], bases[1], weights[0, 1]), atol=1e-12
+                out[1], cheb_conv(xs[0], terms[1], weights[0, 1]), atol=1e-12
             )
 
 
